@@ -48,10 +48,10 @@ import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, emit, emit_json, full_grid, percentiles
 from repro.experiments.settings import ExperimentSettings
+from repro.netmodel.capacity import CapacityLedger
 from repro.netmodel.vnf import VNFCatalog
 from repro.resilience.metrics import MetricsTracker
 from repro.service.batch import BatchAdmissionEngine
-from repro.service.ledger import ShardedCapacityLedger
 from repro.service.server import replay_trace
 from repro.service.trace import TracePhase, flash_crowd_phases, synthetic_trace
 from repro.topology.gtitm import WaxmanParameters, generate_gtitm_topology
@@ -87,7 +87,6 @@ FLASH_FRACTION = 0.2
 WINDOW = 1.0
 QUEUE_LIMIT = 2048
 HOLDING = 2.0
-NUM_SHARDS = 16
 AUDIT_EVERY = 200
 SPEEDUP_FLOOR = 1.5
 AMORTIZATION_REPEATS = 3
@@ -107,9 +106,7 @@ def build_topology(num_aps: int, rng):
 
 
 def make_engine(network, mode: str, seed: int) -> BatchAdmissionEngine:
-    ledger = ShardedCapacityLedger(
-        {v: network.capacity(v) for v in network.cloudlets}, num_shards=NUM_SHARDS
-    )
+    ledger = CapacityLedger({v: network.capacity(v) for v in network.cloudlets})
     return BatchAdmissionEngine(
         network,
         ledger=ledger,
@@ -216,7 +213,6 @@ def run_bench(scale: dict):
             "requests": scale["requests"],
             "num_aps": scale["num_aps"],
             "cloudlets": network.num_cloudlets,
-            "shards": NUM_SHARDS,
             "backend": "warm",
             "base_rate": BASE_RATE,
             "flash_multiplier": FLASH_MULTIPLIER,
@@ -237,7 +233,7 @@ def run_bench(scale: dict):
             "shed_rate": main_stats.shed_rate,
             "windows": main_stats.windows,
             "audits": main_stats.audits,
-            "audit_violations": 0,  # audit_sharded raises otherwise
+            "audit_violations": 0,  # the refold audit raises otherwise
             "queue_depth": report.queue_depth_stats(),
             "engine_stats": dict(engine.stats),
             "identity": {

@@ -11,8 +11,8 @@ forensic dump the moment anything disagrees:
 
 1. **cache vs journal** -- per-node occupancy re-derived as the in-order
    journal fold must equal the cached ``used`` **byte-exactly** (``==`` on
-   floats; :meth:`CapacityLedger._recompute` guarantees a healthy ledger
-   satisfies this with zero tolerance);
+   floats; :meth:`CapacityLedger._remove` refolds a node's journal on every
+   release, so a healthy ledger satisfies this with zero tolerance);
 2. **capacity feasibility** -- ``used(v) <= initial(v)`` everywhere;
 3. **tag reconciliation** -- the journal's tag set must equal exactly
    {live instance tags} + {blockades of currently-down cloudlets}: every
@@ -265,22 +265,23 @@ class InvariantAuditor:
         )
 
 
-def audit_sharded(ledger, now: float = 0.0, context: str = "service") -> None:
-    """Refold audit over a region-sharded ledger (streaming-service hook).
+def audit_sharded(ledger: CapacityLedger, now: float = 0.0, context: str = "service") -> None:
+    """Refold audit over the ledger's per-node journals (streaming-service hook).
 
-    Extends :meth:`InvariantAuditor._check_cache` to the
-    :class:`repro.service.ledger.ShardedCapacityLedger`: every shard's
-    cached per-node occupancy must equal the in-order fold of that shard's
-    journal **byte-exactly**, and no node may exceed its initial capacity.
-    Raises :class:`~repro.util.errors.AuditViolationError` with the merged
-    divergence map on any disagreement.
+    The ledger's journal is sharded by node; this is the service's cut of
+    :meth:`InvariantAuditor._check_cache` plus feasibility: every node's
+    cached occupancy must equal the in-order refold of that node's entries
+    in the allocation log **byte-exactly**, and no node may exceed its
+    initial capacity.  Raises
+    :class:`~repro.util.errors.AuditViolationError` with the divergence map
+    on any disagreement.
     """
     drift = ledger.audit_cache()
     if drift:
         raise AuditViolationError(
-            f"sharded ledger cache drift at t={now:.3f} ({context}): "
+            f"ledger cache drift at t={now:.3f} ({context}): "
             f"{len(drift)} node(s) diverge from the journal refold",
-            {"time": now, "check": "sharded-cache-refold", "drift": {
+            {"time": now, "check": "cache-refold", "drift": {
                 str(v): {"cached": cached, "derived": derived}
                 for v, (cached, derived) in drift.items()
             }},
@@ -288,9 +289,9 @@ def audit_sharded(ledger, now: float = 0.0, context: str = "service") -> None:
     violations = ledger.violations()
     if violations:
         raise AuditViolationError(
-            f"sharded ledger capacity violation at t={now:.3f} ({context}): "
+            f"ledger capacity violation at t={now:.3f} ({context}): "
             f"{len(violations)} node(s) over initial capacity",
-            {"time": now, "check": "sharded-capacity", "violations": {
+            {"time": now, "check": "capacity", "violations": {
                 str(v): excess for v, excess in violations.items()
             }},
         )

@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--window", type=float, default=1.0, help="admission batching window"
     )
-    serve.add_argument("--shards", type=int, default=8, help="capacity ledger shards")
     serve.add_argument(
         "--queue-limit", type=int, default=512, help="per-batch shed cap"
     )
@@ -249,11 +248,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.experiments.settings import ExperimentSettings
+    from repro.netmodel.capacity import CapacityLedger
     from repro.netmodel.vnf import VNFCatalog
     from repro.resilience.metrics import MetricsTracker
     from repro.service import (
         BatchAdmissionEngine,
-        ShardedCapacityLedger,
         flash_crowd_phases,
         replay_trace,
         synthetic_trace,
@@ -283,10 +282,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     catalog = VNFCatalog.random(rng=rng)
     engine = BatchAdmissionEngine(
         network,
-        ledger=ShardedCapacityLedger(
-            {v: network.capacity(v) for v in network.cloudlets},
-            num_shards=args.shards,
-        ),
+        ledger=CapacityLedger({v: network.capacity(v) for v in network.cloudlets}),
         backend=args.backend,
         mode=args.mode,
         queue_limit=args.queue_limit,

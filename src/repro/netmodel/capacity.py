@@ -16,11 +16,31 @@ regimes:
 Every allocation is journaled so a caller can roll back to a checkpoint --
 used by algorithms that tentatively commit a matching round and retract it
 when the budget check fails.
+
+Journal layout
+--------------
+Each allocation gets an integer id, increasing in allocation order.  The
+ledger keeps two views of the live allocations:
+
+* the **allocation log**, ``id -> Allocation`` in allocation order -- the
+  journal proper, what :attr:`CapacityLedger.journal` returns and what the
+  refold audit re-derives occupancy from;
+* **per-node journals** (the journal sharded by node), ``id -> amount`` in
+  allocation order for each node.
+
+A node's ``used`` is always *exactly* the left-to-right fold of its own
+journal.  Releasing an allocation pops it from both views by id and
+refolds that one node's journal, so a release costs O(entries at the node)
+instead of O(live journal).  Because both views are insertion-ordered and
+ids only grow, a node's journal is the allocation log restricted to that
+node, and the refold is byte-identical to refolding the whole log.
+:meth:`CapacityLedger.rollback` truncates the allocation log back to a
+checkpoint id and refolds only the nodes it touched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.util.errors import CapacityError, ValidationError
@@ -30,7 +50,7 @@ from repro.util.errors import CapacityError, ValidationError
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """One journaled capacity allocation.
 
@@ -43,11 +63,25 @@ class Allocation:
     tag:
         Free-form label identifying the consumer (e.g. ``"f3#2"`` for the
         second secondary of chain position 3); used in diagnostics only.
+    id:
+        Position in the issuing ledger's allocation order; the key a
+        release looks the entry up by.  Not part of equality, so an
+        allocation compares by what it holds, not by when it was made.
+        ``-1`` marks an allocation no ledger issued.
     """
 
     node: int
     amount: float
     tag: str = ""
+    id: int = field(default=-1, compare=False)
+
+
+def _fold(amounts: Iterable[float]) -> float:
+    """Left-to-right float sum (``sum()`` may compensate on newer Pythons)."""
+    total = 0.0
+    for amount in amounts:
+        total += amount
+    return total
 
 
 class CapacityLedger:
@@ -67,18 +101,16 @@ class CapacityLedger:
                 raise ValidationError(f"initial capacity of node {v!r} must be >= 0, got {c}")
         self._initial: dict[int, float] = {v: float(c) for v, c in capacities.items()}
         self._used: dict[int, float] = {v: 0.0 for v in capacities}
-        self._journal: list[Allocation] = []
-        # O(1) running aggregates.  ``_agg_used`` is maintained as *exactly*
-        # the left-to-right fold of the journal's amounts: appends extend the
-        # fold in place, and every journal-compacting operation refolds it
-        # (those operations already walk the whole journal).  That keeps
-        # ``total_used()`` byte-identical to re-summing the journal without
-        # the O(journal) walk on the hot query path.
-        total_initial = 0.0
-        for c in self._initial.values():
-            total_initial += c
-        self._total_initial: float = total_initial
-        self._agg_used: float = 0.0
+        #: The allocation log: live allocations by id, in allocation order.
+        self._log: dict[int, Allocation] = {}
+        #: Per-node journals, ``node -> {id: amount}``, created on first use.
+        self._journals: dict[int, dict[int, float]] = {}
+        self._next_id = 0
+        self._total_initial: float = _fold(self._initial.values())
+        # ``total_used()``: the fold of the allocation log's amounts.
+        # Allocations extend it in place; removals mark it stale (None) and
+        # the next query refolds it.
+        self._agg_used: float | None = 0.0
 
     # -- queries --------------------------------------------------------------
     @property
@@ -141,37 +173,42 @@ class CapacityLedger:
                 f"allocating {amount:.3f} at node {v} exceeds residual "
                 f"{self.residual(v):.3f}"
             )
-        self._used[v] += amount
-        self._agg_used += amount  # extends the journal fold in place
-        alloc = Allocation(v, amount, tag)
-        self._journal.append(alloc)
+        aid = self._next_id
+        self._next_id = aid + 1
+        alloc = Allocation(v, amount, tag, aid)
+        self._used[v] += amount  # extends the node's fold in place
+        if self._agg_used is not None:
+            self._agg_used += amount
+        self._log[aid] = alloc
+        journal = self._journals.get(v)
+        if journal is None:
+            journal = self._journals[v] = {}
+        journal[aid] = amount
         return alloc
 
-    def _recompute(self, nodes: set[int]) -> None:
-        """Rebuild ``used`` for ``nodes`` as the in-order sum of live journal
-        entries.
+    def _remove(self, allocations: Iterable[Allocation]) -> None:
+        """Drop live allocations from both views and refold their nodes.
 
-        Keeping ``used[v]`` *exactly* equal to that fold (rather than
-        patching it with subtractions, which leaves float residue) makes
-        :meth:`rollback` byte-identical: restoring the journal prefix of a
-        checkpoint restores bit-for-bit the ``used`` values it had.
+        Keeping ``used[v]`` *exactly* equal to the fold of the node's
+        journal (rather than patching it with subtractions, which leaves
+        float residue) makes :meth:`rollback` byte-identical: restoring a
+        checkpoint's journal restores bit-for-bit the ``used`` values it
+        had.
         """
-        for v in nodes:
-            self._used[v] = 0.0
-        agg = 0.0
-        for alloc in self._journal:
-            if alloc.node in nodes:
-                self._used[alloc.node] += alloc.amount
-            agg += alloc.amount
-        self._agg_used = agg
+        touched: set[int] = set()
+        for alloc in allocations:
+            del self._log[alloc.id]
+            del self._journals[alloc.node][alloc.id]
+            touched.add(alloc.node)
+        if not touched:
+            return
+        self._agg_used = None
+        for v in touched:
+            self._used[v] = _fold(self._journals[v].values())
 
     def release(self, allocation: Allocation) -> None:
         """Return a journaled allocation's capacity (out-of-order release OK)."""
-        try:
-            self._journal.remove(allocation)
-        except ValueError:
-            raise ValidationError(f"allocation {allocation!r} is not in the journal") from None
-        self._recompute({allocation.node})
+        self.release_many((allocation,))
 
     def release_tag(self, tag: str) -> float:
         """Release *every* journaled allocation carrying ``tag``.
@@ -179,136 +216,109 @@ class CapacityLedger:
         Used by lifecycle events that retire a whole consumer at once: a
         request departing the system, a failed instance whose capacity
         returns to the pool, a cloudlet-outage blockade being lifted.
+        Scans the live allocation log once (tags are not indexed).
 
         Returns the total amount released (0.0 when no allocation matches).
-
-        Out-of-order releases compact the journal, so checkpoints taken
-        *before* a ``release_tag`` (or :meth:`release`) call no longer
-        denote the same journal position -- do not roll back across a
-        release.  Transactional callers take their checkpoint, allocate,
-        and either commit or roll back without interleaved releases.
         """
-        released = 0.0
-        touched: set[int] = set()
-        kept: list[Allocation] = []
-        for alloc in self._journal:
-            if alloc.tag == tag:
-                released += alloc.amount
-                touched.add(alloc.node)
-            else:
-                kept.append(alloc)
-        self._journal = kept
-        self._recompute(touched)
-        return released
+        victims = [alloc for alloc in self._log.values() if alloc.tag == tag]
+        self._remove(victims)
+        return _fold(alloc.amount for alloc in victims)
 
     def release_many(self, allocations: Iterable[Allocation]) -> float:
-        """Release several journaled allocations in one journal pass.
+        """Release several journaled allocations, all or nothing.
 
-        Multiset semantics: each allocation in ``allocations`` consumes one
-        matching journal entry (journal order); a missing entry raises
-        :class:`ValidationError` with nothing released.  Equivalent to
-        calling :meth:`release` per allocation but O(journal) total instead
-        of O(journal) *per allocation* -- the difference between a request
-        departure being constant-ish and quadratic in a long-running
-        service.  Like every out-of-order release, this compacts the
-        journal: do not roll back across it.
+        Each allocation is looked up by the id this ledger gave it and must
+        still be live here; an allocation the ledger did not issue, one
+        already released or rolled back, or one listed twice raises
+        :class:`ValidationError` with nothing released.  Costs O(1) per
+        allocation plus one refold per touched node's journal, independent
+        of how many other allocations are live.
 
         Returns the total amount released.
         """
-        need: dict[Allocation, int] = {}
-        requested = 0
-        for alloc in allocations:
-            need[alloc] = need.get(alloc, 0) + 1
-            requested += 1
-        if not requested:
-            return 0.0
-        # Verify first so a missing entry releases nothing.
-        remaining = dict(need)
-        for alloc in self._journal:
-            count = remaining.get(alloc, 0)
-            if count:
-                remaining[alloc] = count - 1
-        for alloc, count in remaining.items():
-            if count:
+        victims = list(allocations)
+        log = self._log
+        seen: set[int] = set()
+        for alloc in victims:
+            live = log.get(alloc.id)
+            if live is None or alloc.id in seen or (live is not alloc and live != alloc):
                 raise ValidationError(f"allocation {alloc!r} is not in the journal")
-        released = 0.0
-        touched: set[int] = set()
-        kept: list[Allocation] = []
-        for alloc in self._journal:
-            count = need.get(alloc, 0)
-            if count:
-                need[alloc] = count - 1
-                released += alloc.amount
-                touched.add(alloc.node)
-            else:
-                kept.append(alloc)
-        self._journal = kept
-        self._recompute(touched)
-        return released
+            seen.add(alloc.id)
+        self._remove(victims)
+        return _fold(alloc.amount for alloc in victims)
 
     def tagged(self, tag: str) -> list[Allocation]:
         """All journaled allocations carrying ``tag``, in allocation order."""
-        return [a for a in self._journal if a.tag == tag]
+        return [a for a in self._log.values() if a.tag == tag]
 
     def checkpoint(self) -> int:
-        """Opaque marker for the current journal position."""
-        return len(self._journal)
+        """Opaque marker: the id the next allocation will get."""
+        return self._next_id
 
     def rollback(self, checkpoint: int) -> None:
         """Undo every allocation made after ``checkpoint``.
 
-        Restores the ledger *byte-identically* to its state at
-        :meth:`checkpoint` time (journal prefix and ``used`` values alike),
-        provided no out-of-order release compacted the journal in between.
+        Truncates the allocation log back to the checkpoint id, newest
+        first, and refolds only the nodes those allocations touched.  With
+        no release in between, the ledger is restored *byte-identically*
+        to its state at :meth:`checkpoint` time (journals, ``used`` values
+        and the next id alike); an allocation released in between stays
+        released.
         """
-        if checkpoint < 0 or checkpoint > len(self._journal):
+        if checkpoint < 0 or checkpoint > self._next_id:
             raise ValidationError(f"invalid checkpoint {checkpoint}")
-        if checkpoint == len(self._journal):
-            return
-        touched = {alloc.node for alloc in self._journal[checkpoint:]}
-        del self._journal[checkpoint:]
-        self._recompute(touched)
+        undone: list[Allocation] = []
+        for aid in reversed(self._log):
+            if aid < checkpoint:
+                break
+            undone.append(self._log[aid])
+        self._remove(undone)
+        self._next_id = checkpoint
 
     # -- reporting ------------------------------------------------------------
     @property
     def journal(self) -> list[Allocation]:
         """Copy of the allocation journal, in allocation order."""
-        return list(self._journal)
+        return list(self._log.values())
 
     def total_initial(self) -> float:
         """Sum of every node's initial capacity -- O(1), computed once."""
         return self._total_initial
 
     def total_used(self) -> float:
-        """Total capacity consumed across all nodes -- O(1).
+        """Total capacity consumed across all nodes.
 
-        Maintained as exactly the left-to-right fold of the journal's
-        amounts, so ``total_used()`` equals
+        Defined as the left-to-right fold of the live journal's amounts in
+        allocation order, so ``total_used()`` equals
         ``sum(a.amount for a in ledger.journal)`` *byte-for-byte* at all
-        times (the aggregate regression test pins this).  Note this fold
-        order differs from ``sum(ledger.used(v) for v in ledger.nodes)``,
-        which groups by node first -- equal up to float associativity.
+        times (the aggregate regression test pins this).  O(1) while only
+        allocations happen; the first query after a release or rollback
+        refolds the journal once.  This fold order differs from
+        ``sum(ledger.used(v) for v in ledger.nodes)``, which groups by node
+        first -- equal up to float associativity.
         """
+        if self._agg_used is None:
+            self._agg_used = _fold(alloc.amount for alloc in self._log.values())
         return self._agg_used
 
     def total_residual(self) -> float:
-        """``total_initial() - total_used()`` -- O(1) aggregate residual."""
-        return self._total_initial - self._agg_used
+        """``total_initial() - total_used()`` -- aggregate residual."""
+        return self._total_initial - self.total_used()
 
     # -- auditing -------------------------------------------------------------
     def derived_used(self) -> dict[int, float]:
-        """Re-derive per-node occupancy as the in-order fold of the journal.
+        """Re-derive per-node occupancy by refolding the allocation log.
 
         This is the auditor's entry point: it recomputes what ``used(v)``
-        *should* be from the journal alone, without touching the cached
-        sums.  Because :meth:`_recompute` keeps the cache equal to exactly
-        this fold, a healthy ledger satisfies ``derived_used()[v] ==
-        used(v)`` **byte-exactly** (``==`` on floats, no tolerance) for
-        every node -- any drift means the cache and the journal disagree,
-        i.e. a bookkeeping bug.
+        *should* be from the allocation log alone -- neither the cached sums
+        nor the per-node journals they are folded from are read.  A healthy
+        ledger satisfies ``derived_used()[v] == used(v)`` **byte-exactly**
+        (``==`` on floats, no tolerance) for every node -- any drift means
+        the cache, the per-node journals and the log disagree, i.e. a
+        bookkeeping bug.
         """
         derived = {v: 0.0 for v in self._initial}
-        for alloc in self._journal:
+        for alloc in self._log.values():
             derived[alloc.node] += alloc.amount
         return derived
 
@@ -333,7 +343,7 @@ class CapacityLedger:
         instances, outage blockades, ...).
         """
         by_tag: dict[str, list[Allocation]] = {}
-        for alloc in self._journal:
+        for alloc in self._log.values():
             by_tag.setdefault(alloc.tag, []).append(alloc)
         return by_tag
 
@@ -376,7 +386,9 @@ class CapacityLedger:
         shared initial state."""
         clone = CapacityLedger(self._initial)
         clone._used = dict(self._used)
-        clone._journal = list(self._journal)
+        clone._log = dict(self._log)
+        clone._journals = {v: dict(journal) for v, journal in self._journals.items()}
+        clone._next_id = self._next_id
         clone._agg_used = self._agg_used
         return clone
 

@@ -5,8 +5,9 @@ service: arrivals and departures are driven on a clock through a
 deterministic event queue (:mod:`repro.service.events`), concurrent
 arrivals are coalesced into admission batches that amortise one BMCGAP
 item-generation pass and one warm-started matching solve across the batch
-(:mod:`repro.service.batch`), capacity lives in a region-sharded ledger
-with transactional cross-shard moves (:mod:`repro.service.ledger`), and
+(:mod:`repro.service.batch`), capacity lives in one
+:class:`~repro.netmodel.capacity.CapacityLedger` whose per-node journals
+make a departure cost O(its allocations), and
 the replay driver / asyncio front-end live in :mod:`repro.service.server`.
 
 The core contract is *bit-identity*: batched admission produces exactly
@@ -16,7 +17,6 @@ state) as admitting the same requests one at a time in arrival order.
 
 from repro.service.batch import SERVICE_COST_CAP, AdmissionRecord, BatchAdmissionEngine
 from repro.service.events import ARRIVE, DEPART, ServiceEvent, ServiceEventQueue
-from repro.service.ledger import ShardedCapacityLedger
 from repro.service.server import AdmissionService, ReplayStats, replay_trace
 from repro.service.trace import TracePhase, flash_crowd_phases, synthetic_trace
 
@@ -30,7 +30,6 @@ __all__ = [
     "SERVICE_COST_CAP",
     "ServiceEvent",
     "ServiceEventQueue",
-    "ShardedCapacityLedger",
     "TracePhase",
     "flash_crowd_phases",
     "replay_trace",

@@ -139,10 +139,9 @@ class BatchAdmissionEngine:
     network:
         The MEC network requests arrive on.
     ledger:
-        The live capacity ledger (typically a
-        :class:`repro.service.ledger.ShardedCapacityLedger`; any object
-        with the :class:`~repro.netmodel.capacity.CapacityLedger` protocol
-        works).
+        The live :class:`~repro.netmodel.capacity.CapacityLedger`.  A
+        departure releases the request's allocations by id, so its cost
+        does not grow with the number of live requests.
     radius:
         Locality radius ``l`` for backup placement.
     backend:
@@ -345,8 +344,9 @@ class BatchAdmissionEngine:
         """Reject a member whose primaries are already in the ledger.
 
         Rollback must not disturb later members' allocations, so the
-        primaries are removed by journal release (byte-identical per-node
-        state to never having allocated them).
+        primaries are released by id (each touched node's journal is
+        refolded: byte-identical per-node state to never having allocated
+        them).
         """
         self.ledger.release_many(member.allocations)
         member.allocations = []

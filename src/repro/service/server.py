@@ -7,8 +7,8 @@ Two entry points share the :class:`~repro.service.batch.BatchAdmissionEngine`:
   :class:`~repro.service.events.ServiceEventQueue`, coalesces the arrivals
   of each admission *window* into one batch, fires the departures due
   before each window, samples queue depth, measures per-request wall-clock
-  admission latency (enqueue to batch commit), and runs the sharded refold
-  audit every ``audit_every`` batches.
+  admission latency (enqueue to batch commit), and runs the per-node
+  ledger refold audit every ``audit_every`` batches.
 * :class:`AdmissionService` -- a long-running asyncio service: a bounded
   admission queue applies backpressure (a full queue sheds the arrival and
   bumps the shed counter), a batcher task drains whatever is queued each
@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.chaos.audit import audit_sharded
 from repro.experiments.settings import ExperimentSettings
+from repro.netmodel.capacity import CapacityLedger
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request, VNFCatalog
 from repro.resilience.metrics import MetricsTracker, RequestOutcome
@@ -192,7 +193,6 @@ class ReplayReplicaTask:
 
 def _run_replica(task: ReplayReplicaTask, network: MECNetwork) -> ReplayStats:
     """Run one replica: fresh catalog, trace, ledger, and engine RNG."""
-    from repro.service.ledger import ShardedCapacityLedger
     from repro.service.trace import flash_crowd_phases, synthetic_trace
 
     trace_seed, engine_seed = task.seed.spawn(2)
@@ -205,9 +205,7 @@ def _run_replica(task: ReplayReplicaTask, network: MECNetwork) -> ReplayStats:
     )
     engine = BatchAdmissionEngine(
         network,
-        ledger=ShardedCapacityLedger(
-            {v: network.capacity(v) for v in network.cloudlets}
-        ),
+        ledger=CapacityLedger({v: network.capacity(v) for v in network.cloudlets}),
         radius=task.radius,
         mode=task.mode,
         queue_limit=task.queue_limit,
@@ -270,7 +268,7 @@ def replay_replica_ensemble(
 ) -> list[ReplayStats]:
     """Replay ``replicas`` independent flash-crowd traces on one network.
 
-    Every replica shares the (immutable) topology but owns a fresh sharded
+    Every replica shares the (immutable) topology but owns a fresh
     ledger, trace seed, and engine RNG -- embarrassingly parallel, and
     bit-identical in its admission counts for every ``jobs`` value and
     both ``REPRO_SHM`` settings (wall-clock fields like ``wall_seconds``

@@ -21,7 +21,11 @@ def brute_force_mcmm(n_rows, n_cols, edges):
     """Exhaustive min-cost maximum matching for tiny graphs."""
     best_card, best_cost = 0, 0.0
     edge_list = list(edges.items())
-    for size in range(len(edge_list), -1, -1):
+    # No matching is larger than the smaller side the edges touch, so the
+    # search starts there instead of at every edge subset.
+    rows = {r for (r, _c) in edges}
+    cols = {c for (_r, c) in edges}
+    for size in range(min(len(rows), len(cols)), -1, -1):
         found = False
         best_for_size = np.inf
         for subset in itertools.combinations(edge_list, size):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.netmodel.capacity import Allocation, CapacityLedger
+from repro.netmodel.capacity import EPS, Allocation, CapacityLedger
 from repro.util.errors import CapacityError, ValidationError
 
 
@@ -315,3 +316,130 @@ class TestRunningAggregates:
         clone.release_tag("")
         assert clone.total_used() == 0.0
         assert ledger.total_used() == 40.0
+
+
+def _fold(amounts) -> float:
+    total = 0.0
+    for amount in amounts:
+        total += amount
+    return total
+
+
+_NODES = (0, 1, 2)
+_CAPACITY = 100.0
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """The ledger against a naive model of its contract.
+
+    The model is a flat list of ``(seq, allocation)`` in allocation order,
+    where ``seq`` counts allocations and is rewound by a rollback.  A node's
+    occupancy is the fold of its list of amounts, recomputed from scratch;
+    the ledger must match it byte for byte after every step, through
+    allocation, release by id, tag release, rollback and copying.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.ledger = CapacityLedger({v: _CAPACITY for v in _NODES})
+        self.live: list[tuple[int, Allocation]] = []
+        self.dead: list[Allocation] = []
+        self.seq = 0
+        self.marks: list[int] = []
+
+    def used(self, v: int) -> float:
+        return _fold(a.amount for _, a in self.live if a.node == v)
+
+    def retire(self, gone) -> None:
+        ids = {id(a) for a in gone}
+        self.dead += gone
+        self.live = [(s, a) for s, a in self.live if id(a) not in ids]
+
+    @rule(
+        node=st.sampled_from(_NODES),
+        amount=st.floats(0.5, 60.0),
+        tag=st.sampled_from("abc"),
+        violate=st.booleans(),
+    )
+    def allocate(self, node, amount, tag, violate):
+        if not violate and not _CAPACITY - self.used(node) + EPS >= amount:
+            with pytest.raises(CapacityError):
+                self.ledger.allocate(node, amount, tag)
+            return
+        alloc = self.ledger.allocate(node, amount, tag, allow_violation=violate)
+        assert alloc == Allocation(node, amount, tag)
+        self.live.append((self.seq, alloc))
+        self.seq += 1
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def release_many(self, data):
+        picks = data.draw(
+            st.lists(st.integers(0, len(self.live) - 1), min_size=1, unique=True)
+        )
+        victims = [self.live[i][1] for i in picks]
+        if len(victims) == 1:
+            self.ledger.release(victims[0])
+        else:
+            assert self.ledger.release_many(victims) == _fold(a.amount for a in victims)
+        self.retire(victims)
+
+    @precondition(lambda self: self.dead)
+    @rule(data=st.data(), with_live=st.booleans())
+    def release_dead_is_rejected(self, data, with_live):
+        stale = data.draw(st.sampled_from(self.dead))
+        # An id the ledger handed out again after a rollback, to an
+        # allocation holding the same node, amount and tag, is that live
+        # allocation as far as anyone can tell.
+        if any(a.id == stale.id and a == stale for _, a in self.live):
+            return
+        batch = [a for _, a in self.live[:1]] if with_live else []
+        with pytest.raises(ValidationError):
+            self.ledger.release_many(batch + [stale])
+
+    @rule(tag=st.sampled_from("abcd"))
+    def release_tag(self, tag):
+        victims = [a for _, a in self.live if a.tag == tag]
+        assert self.ledger.release_tag(tag) == _fold(a.amount for a in victims)
+        self.retire(victims)
+
+    @rule()
+    def checkpoint(self):
+        self.marks.append(self.ledger.checkpoint())
+
+    @precondition(lambda self: self.marks)
+    @rule(data=st.data())
+    def rollback(self, data):
+        mark = data.draw(st.sampled_from(self.marks))
+        self.ledger.rollback(mark)
+        self.retire([a for s, a in self.live if s >= mark])
+        self.seq = mark
+        self.marks = [m for m in self.marks if m <= mark]
+
+    @rule()
+    def rollback_past_the_end_is_rejected(self):
+        with pytest.raises(ValidationError):
+            self.ledger.rollback(self.seq + 1)
+
+    @rule()
+    def swap_for_copy(self):
+        self.ledger = self.ledger.copy()
+
+    @invariant()
+    def matches_model(self):
+        for v in _NODES:
+            used = self.used(v)
+            assert self.ledger.used(v) == used
+            assert self.ledger.residual(v) == _CAPACITY - used
+        journal = self.ledger.journal
+        assert len(journal) == len(self.live)
+        assert all(x is y for x, (_, y) in zip(journal, self.live))
+        assert self.ledger.total_used() == _fold(a.amount for _, a in self.live)
+        assert self.ledger.checkpoint() == self.seq
+        assert not self.ledger.audit_cache()
+
+
+TestLedgerStateMachine = LedgerMachine.TestCase
+TestLedgerStateMachine.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workload import make_network, make_request
+from repro.netmodel.capacity import CapacityLedger
 from repro.netmodel.vnf import VNFCatalog
 from repro.service.batch import BatchAdmissionEngine, SERVICE_COST_CAP
-from repro.service.ledger import ShardedCapacityLedger
 from repro.service.server import replay_trace
 from repro.service.trace import TracePhase, flash_crowd_phases, synthetic_trace
 from repro.util.errors import ValidationError
@@ -40,9 +40,7 @@ _NETWORK, _CATALOG = build_instance(1234)
 
 
 def service_ledger(network):
-    return ShardedCapacityLedger(
-        {v: network.capacity(v) for v in network.cloudlets}, num_shards=4
-    )
+    return CapacityLedger({v: network.capacity(v) for v in network.cloudlets})
 
 
 def run_mode(mode, backend, trace_seed, service_seed, requests=40, window=1.0):

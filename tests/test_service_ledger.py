@@ -1,5 +1,13 @@
-"""Sharded capacity ledger: equivalence with the monolithic ledger,
-transactional cross-shard moves, and atomic multi-shard release."""
+"""The capacity ledger as the admission service drives it.
+
+The service allocates a request's primaries and backups on several nodes,
+rolls a partial intake back when a primary does not fit, and releases a
+request's allocations all at once when it departs, in any order relative
+to other requests.  These tests hold the per-node-journal ledger to a
+monolithic reference -- one flat list of live allocations in allocation
+order, refolded per node from scratch -- and check the release, rollback
+and refold-audit contracts the service relies on.
+"""
 
 from __future__ import annotations
 
@@ -7,190 +15,214 @@ import numpy as np
 import pytest
 
 from repro.chaos.audit import AuditViolationError, audit_sharded
-from repro.netmodel.capacity import CapacityLedger
-from repro.service.ledger import ShardedCapacityLedger
+from repro.netmodel.capacity import Allocation, CapacityLedger
 from repro.util.errors import ValidationError
 
 
-def make_pair(num_nodes=24, num_shards=5, seed=0):
+class MonolithicJournal:
+    """Reference model: one flat journal of live allocations."""
+
+    def __init__(self, capacities):
+        self.initial = dict(capacities)
+        self.entries: list[Allocation] = []
+
+    def release(self, allocations) -> None:
+        gone = {id(a) for a in allocations}
+        self.entries = [a for a in self.entries if id(a) not in gone]
+
+    def used(self, v: int) -> float:
+        total = 0.0
+        for alloc in self.entries:
+            if alloc.node == v:
+                total += alloc.amount
+        return total
+
+
+def make_pair(num_nodes=24, seed=0):
     rng = np.random.default_rng(seed)
     capacities = {v: float(rng.integers(500, 1500)) for v in range(num_nodes)}
-    return CapacityLedger(capacities), ShardedCapacityLedger(capacities, num_shards)
+    return CapacityLedger(capacities), MonolithicJournal(capacities)
 
 
-def random_workload(mono, sharded, rng, steps=300):
-    """Drive both ledgers through the same random op sequence."""
-    live_m, live_s = [], []
+def random_workload(ledger, model, rng, steps=300, spread=3):
+    """Requests of ``spread`` allocations arrive and depart at random.
+
+    An arrival whose next allocation does not fit rolls its partial intake
+    back, as the service does for a primary-infeasible request; a departure
+    releases every allocation of one live request at once.
+    """
+    live: list[list[Allocation]] = []
     for step in range(steps):
-        op = rng.random()
-        if op < 0.6 or not live_m:
-            v = int(rng.choice(mono.nodes))
-            amount = float(rng.integers(1, 50))
-            if not mono.fits(v, amount):
-                continue
-            tag = f"t{step % 7}"
-            live_m.append(mono.allocate(v, amount, tag))
-            live_s.append(sharded.allocate(v, amount, tag))
-        elif op < 0.85:
-            i = int(rng.integers(0, len(live_m)))
-            mono.release(live_m.pop(i))
-            sharded.release(live_s.pop(i))
+        if rng.random() < 0.6 or not live:
+            mark = ledger.checkpoint()
+            request: list[Allocation] = []
+            for i in range(spread):
+                v = int(rng.choice(ledger.nodes))
+                amount = float(rng.integers(1, 50)) + float(rng.random())
+                if not ledger.fits(v, amount):
+                    ledger.rollback(mark)
+                    request = []
+                    break
+                request.append(ledger.allocate(v, amount, f"r{step}#{i}"))
+            if request:
+                model.entries.extend(request)
+                live.append(request)
         else:
-            tag = f"t{int(rng.integers(0, 7))}"
-            assert mono.release_tag(tag) == pytest.approx(sharded.release_tag(tag))
-            live_m = [a for a in live_m if a.tag != tag]
-            live_s = [a for a in live_s if a.tag != tag]
-    return live_m, live_s
+            departing = live.pop(int(rng.integers(0, len(live))))
+            ledger.release_many(departing)
+            model.release(departing)
+    return live
+
+
+def fold(amounts) -> float:
+    total = 0.0
+    for amount in amounts:
+        total += amount
+    return total
 
 
 class TestMonolithicEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("num_shards", [1, 3, 8])
-    def test_per_node_state_byte_identical(self, seed, num_shards):
-        mono, sharded = make_pair(num_shards=num_shards, seed=seed)
-        random_workload(mono, sharded, np.random.default_rng(seed + 100))
-        for v in mono.nodes:
-            # Byte-exact: same per-node journal fold either way.
-            assert sharded.used(v) == mono.used(v)
-            assert sharded.residual(v) == mono.residual(v)
-        assert sharded.residuals() == {v: mono.residual(v) for v in mono.nodes}
-        assert sharded.derived_used() == mono.derived_used()
+    @pytest.mark.parametrize("spread", [1, 3, 8])
+    def test_per_node_state_byte_identical(self, seed, spread):
+        ledger, model = make_pair(seed=seed)
+        random_workload(ledger, model, np.random.default_rng(seed + 100), spread=spread)
+        for v in ledger.nodes:
+            # Byte-exact: a node's journal is the flat journal restricted to it.
+            assert ledger.used(v) == model.used(v)
+            assert ledger.residual(v) == model.initial[v] - model.used(v)
+        journal = ledger.journal
+        assert len(journal) == len(model.entries)
+        assert all(a is b for a, b in zip(journal, model.entries))
+        assert ledger.derived_used() == {v: model.used(v) for v in ledger.nodes}
+        assert not ledger.audit_cache()
 
     def test_aggregates_match_journal_sum(self):
-        _, sharded = make_pair()
+        ledger, _ = make_pair()
         rng = np.random.default_rng(7)
         for step in range(200):
-            v = int(rng.choice(sharded.nodes))
-            amount = float(rng.integers(1, 40))
-            if sharded.fits(v, amount):
-                sharded.allocate(v, amount, f"t{step % 4}")
+            v = int(rng.choice(ledger.nodes))
+            amount = float(rng.integers(1, 40)) + float(rng.random())
+            if ledger.fits(v, amount):
+                ledger.allocate(v, amount, f"t{step % 4}")
             if step % 9 == 0:
-                sharded.release_tag(f"t{step % 4}")
-        # O(shards) aggregates vs explicit sums over nodes / journal.
-        assert sharded.total_used() == pytest.approx(
-            sum(sharded.used(v) for v in sharded.nodes)
+                ledger.release_tag(f"t{step % 4}")
+        assert ledger.total_used() == fold(a.amount for a in ledger.journal)
+        assert ledger.total_used() == pytest.approx(
+            sum(ledger.used(v) for v in ledger.nodes)
         )
-        assert sharded.total_used() == pytest.approx(
-            sum(a.amount for a in sharded.journal)
-        )
-        assert sharded.total_residual() == pytest.approx(
-            sharded.total_initial() - sharded.total_used()
-        )
-
-    def test_shard_partition_covers_all_nodes_once(self):
-        _, sharded = make_pair(num_nodes=17, num_shards=4)
-        seen = []
-        for shard in sharded.shards:
-            seen.extend(shard.nodes)
-        assert sorted(seen) == sorted(sharded.nodes)
-        for v in sharded.nodes:
-            assert v in sharded.shards[sharded.shard_of(v)].nodes
-
-    def test_shards_clamped_to_node_count(self):
-        sharded = ShardedCapacityLedger({0: 10.0, 1: 10.0}, num_shards=16)
-        assert sharded.num_shards == 2
-        with pytest.raises(ValidationError):
-            ShardedCapacityLedger({0: 10.0}, num_shards=0)
+        assert ledger.total_residual() == ledger.total_initial() - ledger.total_used()
 
 
 class TestCheckpointRollback:
     def test_rollback_is_byte_exact(self):
-        mono, sharded = make_pair(seed=5)
-        random_workload(mono, sharded, np.random.default_rng(55), steps=100)
-        before = {v: sharded.used(v) for v in sharded.nodes}
-        mark = sharded.checkpoint()
+        ledger, model = make_pair(seed=5)
+        random_workload(ledger, model, np.random.default_rng(55), steps=100)
+        before = {v: ledger.used(v) for v in ledger.nodes}
+        journal = ledger.journal
+        mark = ledger.checkpoint()
         rng = np.random.default_rng(56)
         for _ in range(30):
-            v = int(rng.choice(sharded.nodes))
-            if sharded.fits(v, 10.0):
-                sharded.allocate(v, 10.0, "speculative")
-        sharded.rollback(mark)
-        assert {v: sharded.used(v) for v in sharded.nodes} == before
-        assert sharded.checkpoint() == mark
+            v = int(rng.choice(ledger.nodes))
+            if ledger.fits(v, 10.0):
+                ledger.allocate(v, 10.0, "speculative")
+        ledger.rollback(mark)
+        assert {v: ledger.used(v) for v in ledger.nodes} == before
+        assert all(a is b for a, b in zip(ledger.journal, journal))
+        assert len(ledger.journal) == len(journal)
+        assert ledger.checkpoint() == mark
 
-    def test_rollback_arity_mismatch_rejected(self):
-        _, sharded = make_pair(num_shards=4)
-        with pytest.raises(ValidationError):
-            sharded.rollback((0, 0))
-
-
-class TestCrossShardMove:
-    def test_move_across_shards(self):
-        _, sharded = make_pair(num_nodes=20, num_shards=4)
-        src, dst = sharded.nodes[0], sharded.nodes[-1]
-        assert sharded.shard_of(src) != sharded.shard_of(dst)
-        alloc = sharded.allocate(src, 25.0, "svc")
-        moved = sharded.move(alloc, dst)
-        assert moved.node == dst and moved.amount == 25.0 and moved.tag == "svc"
-        assert sharded.used(src) == 0.0
-        assert sharded.used(dst) == 25.0
-        assert not sharded.audit_cache()
-
-    def test_failed_move_rolls_back_target_byte_exact(self):
-        _, sharded = make_pair(num_nodes=20, num_shards=4)
-        src, dst = sharded.nodes[0], sharded.nodes[-1]
-        alloc = sharded.allocate(src, 25.0, "svc")
-        sharded.release(alloc)  # source entry now gone -> release must fail
-        before_used = {v: sharded.used(v) for v in sharded.nodes}
-        before_sizes = sharded.journal_sizes()
-        with pytest.raises(ValidationError):
-            sharded.move(alloc, dst)
-        assert {v: sharded.used(v) for v in sharded.nodes} == before_used
-        assert sharded.journal_sizes() == before_sizes
-        assert not sharded.audit_cache()
-
-    def test_move_rejects_overfull_target(self):
-        _, sharded = make_pair(num_nodes=20, num_shards=4)
-        src, dst = sharded.nodes[0], sharded.nodes[-1]
-        alloc = sharded.allocate(src, 25.0, "svc")
-        sharded.allocate(dst, sharded.residual(dst), "filler")
-        with pytest.raises(Exception):
-            sharded.move(alloc, dst)
-        assert sharded.used(src) == 25.0  # source untouched
+    def test_release_in_between_stays_released(self):
+        ledger, _ = make_pair(num_nodes=4)
+        kept = ledger.allocate(0, 30.0, "kept")
+        gone = ledger.allocate(1, 20.0, "gone")
+        mark = ledger.checkpoint()
+        ledger.allocate(2, 10.0, "speculative")
+        ledger.release(gone)
+        ledger.rollback(mark)
+        assert ledger.journal == [kept]
+        assert ledger.used(1) == 0.0 and ledger.used(2) == 0.0
+        assert not ledger.audit_cache()
 
 
 class TestAtomicReleaseMany:
     def test_release_many_spans_shards(self):
-        _, sharded = make_pair(num_nodes=20, num_shards=4)
-        allocs = [sharded.allocate(v, 5.0, "req") for v in sharded.nodes[:10]]
-        released = sharded.release_many(allocs)
-        assert released == pytest.approx(50.0)
-        assert sharded.total_used() == 0.0
+        # One allocation in each of ten nodes' journals, released at once.
+        ledger, _ = make_pair(num_nodes=20)
+        allocs = [ledger.allocate(v, 5.0, "req") for v in ledger.nodes[:10]]
+        ledger.allocate(ledger.nodes[0], 7.0, "other")
+        released = ledger.release_many(allocs)
+        assert released == 50.0
+        assert ledger.total_used() == 7.0
+        assert [ledger.used(v) for v in ledger.nodes[:3]] == [7.0, 0.0, 0.0]
 
     def test_missing_entry_releases_nothing_anywhere(self):
-        _, sharded = make_pair(num_nodes=20, num_shards=4)
-        allocs = [sharded.allocate(v, 5.0, "req") for v in sharded.nodes[:10]]
+        ledger, _ = make_pair(num_nodes=20)
+        allocs = [ledger.allocate(v, 5.0, "req") for v in ledger.nodes[:10]]
         victim = allocs[7]
-        sharded.release(victim)  # now absent from its shard's journal
-        before = {v: sharded.used(v) for v in sharded.nodes}
+        ledger.release(victim)  # now absent from the journal
+        before = {v: ledger.used(v) for v in ledger.nodes}
         with pytest.raises(ValidationError):
-            sharded.release_many(allocs)
-        # Atomicity: shards verified before any compaction, so even shards
-        # holding valid entries released nothing.
-        assert {v: sharded.used(v) for v in sharded.nodes} == before
+            ledger.release_many(allocs)
+        # Atomicity: every entry is checked before any is removed, so even
+        # the nodes holding valid entries released nothing.
+        assert {v: ledger.used(v) for v in ledger.nodes} == before
+        assert len(ledger.journal) == 9
 
     def test_release_many_empty_is_noop(self):
-        _, sharded = make_pair()
-        assert sharded.release_many([]) == 0.0
+        ledger, _ = make_pair()
+        assert ledger.release_many([]) == 0.0
+
+    def test_duplicate_and_unissued_allocations_rejected(self):
+        ledger, _ = make_pair(num_nodes=4)
+        alloc = ledger.allocate(0, 5.0, "req")
+        for bad in ([alloc, alloc], [Allocation(0, 5.0, "req")]):
+            with pytest.raises(ValidationError):
+                ledger.release_many(bad)
+        assert ledger.journal == [alloc] and ledger.used(0) == 5.0
+
+    def test_stale_allocation_cannot_release_its_successor(self):
+        # A rollback hands the undone ids out again; an allocation object
+        # from before the rollback must not release the new holder.
+        ledger, _ = make_pair(num_nodes=4)
+        mark = ledger.checkpoint()
+        stale = ledger.allocate(0, 5.0, "first")
+        ledger.rollback(mark)
+        fresh = ledger.allocate(1, 9.0, "second")
+        assert fresh.id == stale.id
+        with pytest.raises(ValidationError):
+            ledger.release(stale)
+        assert ledger.journal == [fresh] and ledger.used(1) == 9.0
 
 
 class TestAudit:
     def test_audit_sharded_passes_on_healthy_ledger(self):
-        mono, sharded = make_pair(seed=9)
-        random_workload(mono, sharded, np.random.default_rng(99), steps=150)
-        audit_sharded(sharded, now=1.0)
+        ledger, model = make_pair(seed=9)
+        random_workload(ledger, model, np.random.default_rng(99), steps=150)
+        audit_sharded(ledger, now=1.0)
 
     def test_audit_sharded_raises_on_violation(self):
-        _, sharded = make_pair()
-        v = sharded.nodes[0]
-        sharded.allocate(v, sharded.initial(v) + 100.0, "boom", allow_violation=True)
+        ledger, _ = make_pair()
+        v = ledger.nodes[0]
+        ledger.allocate(v, ledger.initial(v) + 100.0, "boom", allow_violation=True)
         with pytest.raises(AuditViolationError):
-            audit_sharded(sharded, now=2.0)
+            audit_sharded(ledger, now=2.0)
+
+    def test_audit_sharded_raises_on_cache_drift(self):
+        ledger, _ = make_pair()
+        v = ledger.nodes[3]
+        ledger.allocate(v, 10.0, "a")
+        ledger._used[v] += 1.0  # simulate a bookkeeping bug
+        with pytest.raises(AuditViolationError) as info:
+            audit_sharded(ledger, now=3.0)
+        assert info.value.dump["drift"] == {str(v): {"cached": 11.0, "derived": 10.0}}
 
     def test_copy_is_independent(self):
-        _, sharded = make_pair()
-        sharded.allocate(sharded.nodes[0], 10.0, "a")
-        clone = sharded.copy()
+        ledger, _ = make_pair()
+        a = ledger.allocate(ledger.nodes[0], 10.0, "a")
+        clone = ledger.copy()
         clone.allocate(clone.nodes[0], 10.0, "b")
-        assert sharded.used(sharded.nodes[0]) == 10.0
-        assert clone.used(clone.nodes[0]) == 20.0
+        clone.release(a)
+        assert ledger.used(ledger.nodes[0]) == 10.0
+        assert clone.used(clone.nodes[0]) == 10.0
+        assert ledger.journal == [a]

@@ -9,10 +9,10 @@ import pytest
 
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workload import make_network, make_request
+from repro.netmodel.capacity import CapacityLedger
 from repro.netmodel.vnf import VNFCatalog
 from repro.resilience.metrics import MetricsTracker
 from repro.service.batch import BatchAdmissionEngine
-from repro.service.ledger import ShardedCapacityLedger
 from repro.service.server import AdmissionService, replay_trace
 from repro.service.trace import TracePhase, synthetic_trace
 from repro.util.errors import ValidationError
@@ -25,9 +25,7 @@ _CATALOG = VNFCatalog.random(rng=_rng)
 
 
 def make_engine(seed=0, **kwargs):
-    ledger = ShardedCapacityLedger(
-        {v: _NETWORK.capacity(v) for v in _NETWORK.cloudlets}, num_shards=4
-    )
+    ledger = CapacityLedger({v: _NETWORK.capacity(v) for v in _NETWORK.cloudlets})
     return BatchAdmissionEngine(
         _NETWORK,
         ledger=ledger,
