@@ -21,8 +21,7 @@ differential suite in ``tests/test_matching_incremental.py`` proves it):
 * ``incremental=True`` (default): :class:`repro.matching.incremental.RoundState`
   maintains the edge set across rounds by applying deltas -- matched items
   leave, and only cloudlets whose residual crossed a ``c(f_i)`` threshold
-  lose edges -- and reuses the padded matrix buffer.  ``rebuild_every=n``
-  re-derives the structures from scratch every ``n`` rounds as a fallback.
+  lose edges -- and reuses the padded matrix buffer.
 * ``incremental=False``: the original full-rebuild path, kept verbatim as
   the differential reference.
 
@@ -38,11 +37,29 @@ reliabilities the paper's figures report.  We therefore use the equivalent
 *reliability-space* stopping rule -- stop once ``u_j >= rho_j`` -- which is
 what the budget is meant to encode (Ineq. 2).  The literal ``c(S)`` total
 is still tracked and reported in the result metadata.
+
+Waves
+-----
+:meth:`MatchingHeuristic.solve_wave` runs the incremental rounds for
+several problems on one shared ledger; :meth:`~MatchingHeuristic.solve` is
+the wave of one, and the streaming admission service
+(:mod:`repro.service.batch`) solves its waves this way.  Each problem's
+share of a wave is bit-identical to its solo solve (*component locality*):
+its cloudlets are disjoint from the other problems', so every round graph
+is the disjoint union of the problems' own graphs plus isolated rows,
+which match their dummy columns harmlessly; with the warm solver's
+dummy-cost base pinned above every problem's edge-cost sum, matching,
+tie-breaking and duals restricted to one component are those of its solo
+solve; and each problem keeps its own round count, expectation stop and
+``max_rounds`` bound, retiring when it has no edge left.  The dense and
+sparse backends derive tie-breaking from the padded square matrix, which
+is not component-local, so only ``"warm"`` solves waves of several.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Sequence
 
 from repro.algorithms.base import (
     AugmentationAlgorithm,
@@ -55,7 +72,7 @@ from repro.core.problem import AugmentationProblem
 from repro.core.solution import AugmentationResult, AugmentationSolution, Placement
 from repro.kernels import kernels_enabled
 from repro.kernels.arena import thread_arena
-from repro.matching.incremental import RoundState, warm_solver_for
+from repro.matching.incremental import RoundState, edge_cost_sum, warm_solver_for
 from repro.matching.mincost import (
     MatchEdge,
     MatchingWorkspace,
@@ -68,6 +85,39 @@ from repro.matching.warmstart import warm_delta_enabled
 from repro.util.errors import ValidationError
 from repro.util.rng import RandomState
 from repro.util.timing import Stopwatch
+
+
+class WaveOutcome(NamedTuple):
+    """One problem's share of :meth:`MatchingHeuristic.solve_wave`: its
+    placements re-keyed to per-position prefixes (before the expectation
+    trim), the rounds in which it placed an item, and its per-round trace
+    (``record_trace=True`` only)."""
+
+    solution: AugmentationSolution
+    rounds: int
+    trace: list[dict[str, object]]
+
+
+class _Progress:
+    """One problem's running state inside the incremental round loop."""
+
+    __slots__ = ("problem", "meets", "ladders", "counts", "factors",
+                 "placements", "rounds", "trace")
+
+    def __init__(
+        self, problem: AugmentationProblem, ladders: tuple[tuple[float, ...], ...]
+    ) -> None:
+        self.problem = problem
+        self.meets = problem.request.meets_expectation
+        self.ladders = ladders
+        self.counts = [0] * len(ladders)
+        # Current per-position reliability factors R_i(counts[i]); their
+        # left-to-right product (math.prod) is bit-identical to
+        # problem.reliability_from_counts(counts).
+        self.factors = [ladder[0] for ladder in ladders]
+        self.placements: list[Placement] = []
+        self.rounds = 0
+        self.trace: list[dict[str, object]] = []
 
 
 class MatchingHeuristic(AugmentationAlgorithm):
@@ -96,9 +146,6 @@ class MatchingHeuristic(AugmentationAlgorithm):
     incremental:
         Use the incremental round engine (default True).  ``False`` selects
         the full-rebuild reference path; both produce identical results.
-    rebuild_every:
-        Incremental engine only: re-derive the round graph from scratch
-        every this-many rounds (``0`` = never, pure delta maintenance).
     record_trace:
         Record a per-round trace (placements, cumulative paper cost,
         reliability) in ``result.meta["round_trace"]`` -- used by the
@@ -112,6 +159,11 @@ class MatchingHeuristic(AugmentationAlgorithm):
         *solve* time via :func:`repro.kernels.arena.thread_arena` -- never
         stored on the algorithm -- so instances stay picklable and
         fork-safe (see ``docs/performance.md``).
+    universe_cost_sum:
+        Warm backend only: pin the dummy-cost base ``B - 1`` (see
+        :func:`repro.matching.incremental.warm_solver_for`) instead of
+        deriving it from each solve's edge universe.  Required for waves of
+        several problems, each of whose edge-cost sums must stay below it.
     """
 
     name = "Heuristic"
@@ -122,25 +174,18 @@ class MatchingHeuristic(AugmentationAlgorithm):
         stop_at_expectation: bool = True,
         max_rounds: int = 10_000,
         incremental: bool = True,
-        rebuild_every: int = 0,
         record_trace: bool = False,
         use_arena: bool | None = None,
         universe_cost_sum: float | None = None,
     ):
-        if rebuild_every < 0:
-            raise ValidationError(f"rebuild_every must be >= 0, got {rebuild_every}")
         if backend is not None:
             resolve_backend(backend)  # fail fast on unknown spellings
         self.backend = backend
         self.stop_at_expectation = stop_at_expectation
         self.max_rounds = max_rounds
         self.incremental = incremental
-        self.rebuild_every = rebuild_every
         self.record_trace = record_trace
         self.use_arena = use_arena
-        # Warm backend only: override the dummy-cost base B - 1 (see
-        # warm_solver_for).  The streaming service pins this to a fixed
-        # dominating constant so its solo and batched solves share B.
         self.universe_cost_sum = universe_cost_sum
 
     def solve(
@@ -159,44 +204,96 @@ class MatchingHeuristic(AugmentationAlgorithm):
                 meta={"no_items": True},
             )
 
-        backend = (
-            resolve_backend(self.backend) if self.backend is not None
-            else default_backend()
-        )
+        backend = self._resolved_backend()
         with Stopwatch() as sw:
-            if self.incremental:
-                placements, rounds, trace = self._run_rounds_incremental(
-                    problem, backend
-                )
-            else:
-                placements, rounds, trace = self._run_rounds_rebuild(
-                    problem, backend
-                )
-            # Re-key to canonical per-position prefixes: an early stop inside
-            # a round can otherwise leave e.g. k=2 committed without k=1.
-            assignments = repair_prefix(
-                problem, {(p.position, p.k): p.bin for p in placements}
-            )
-            solution = AugmentationSolution.from_assignments(problem, assignments)
+            (outcome,) = self._solve_rounds([problem], backend)
 
         meta: dict[str, object] = {
-            "rounds": rounds,
-            "paper_cost_total": solution.total_cost,
+            "rounds": outcome.rounds,
+            "paper_cost_total": outcome.solution.total_cost,
             "engine": "incremental" if self.incremental else "rebuild",
             "matching_backend": backend,  # "auto" concretises per round
         }
         if self.record_trace:
-            meta["round_trace"] = trace
+            meta["round_trace"] = outcome.trace
         return finalize_result(
             problem,
-            solution,
+            outcome.solution,
             algorithm=self.name,
             runtime_seconds=sw.elapsed,
             stop_at_expectation=self.stop_at_expectation,
             meta=meta,
         )
 
+    def solve_wave(self, problems: Sequence[AugmentationProblem]) -> list[WaveOutcome]:
+        """Run Algorithm 2's rounds for ``problems`` on one shared ledger.
+
+        Returns one :class:`WaveOutcome` per problem, in order: what
+        :meth:`solve` assembles before the expectation trim and the usage
+        statistics.  A problem whose baseline meets ``rho_j``, or that has
+        no items, takes no round.  Several problems (see the module
+        docstring) need the warm backend on the incremental engine, a pinned
+        ``universe_cost_sum`` above each one's edge-cost sum, one shared
+        residual snapshot and pairwise-disjoint cloudlets, else
+        :class:`~repro.util.errors.ValidationError`.
+        """
+        backend = self._resolved_backend()
+        if len(problems) > 1:
+            self._check_wave(problems, backend)
+        outcomes = [WaveOutcome(AugmentationSolution.empty(), 0, []) for _ in problems]
+        todo = [
+            i for i, problem in enumerate(problems)
+            if problem.items and not problem.baseline_meets_expectation
+        ]
+        if todo:
+            solved = self._solve_rounds([problems[i] for i in todo], backend)
+            for i, outcome in zip(todo, solved):
+                outcomes[i] = outcome
+        return outcomes
+
     # -- internals ----------------------------------------------------------------
+    def _resolved_backend(self) -> str:
+        return (
+            resolve_backend(self.backend) if self.backend is not None
+            else default_backend()
+        )
+
+    def _check_wave(self, problems: Sequence[AugmentationProblem], backend: str) -> None:
+        if backend != "warm" or not self.incremental:
+            raise ValidationError(
+                "a wave of several problems needs the incremental engine on the warm "
+                f"backend, got {backend!r} with incremental={self.incremental}"
+            )
+        cap, residuals = self.universe_cost_sum, problems[0].residuals
+        for problem in problems:
+            if problem.residuals is not residuals and problem.residuals != residuals:
+                raise ValidationError("a wave's problems must share one residual snapshot")
+            if cap is None or edge_cost_sum(problem) >= cap:
+                raise ValidationError(
+                    "a wave needs universe_cost_sum pinned above every problem's "
+                    f"edge-cost sum, got {cap!r}"
+                )
+
+    def _solve_rounds(
+        self, problems: Sequence[AugmentationProblem], backend: str
+    ) -> list[WaveOutcome]:
+        """Run the rounds and re-key each problem's placements to prefixes."""
+        if self.incremental:
+            runs = self._run_rounds_incremental(problems, backend)
+        else:
+            (problem,) = problems
+            runs = [self._run_rounds_rebuild(problem, backend)]
+        outcomes = []
+        for problem, (placements, rounds, trace) in zip(problems, runs):
+            # Re-key to canonical per-position prefixes: an early stop inside
+            # a round can otherwise leave e.g. k=2 committed without k=1.
+            assignments = repair_prefix(
+                problem, {(p.position, p.k): p.bin for p in placements}
+            )
+            solution = AugmentationSolution.from_assignments(problem, assignments)
+            outcomes.append(WaveOutcome(solution, rounds, trace))
+        return outcomes
+
     def _trace_entry(
         self,
         problem: AugmentationProblem,
@@ -210,49 +307,59 @@ class MatchingHeuristic(AugmentationAlgorithm):
         }
 
     def _run_rounds_incremental(
-        self, problem: AugmentationProblem, backend: str
-    ) -> tuple[list[Placement], int, list[dict[str, object]]]:
-        """The incremental engine: delta-maintained ``G_l`` + buffer reuse."""
-        ledger = problem.ledger()
+        self, problems: Sequence[AugmentationProblem], backend: str
+    ) -> list[tuple[list[Placement], int, list[dict[str, object]]]]:
+        """The incremental engine: delta-maintained ``G_l`` + buffer reuse.
+
+        Each round solves the union graph of the problems still active, then
+        commits every problem's matches cheapest-first, stopping mid-round
+        once that problem meets its expectation (a solo solve is a wave of
+        one)."""
+        ledger = problems[0].ledger()
         want_arena = kernels_enabled() if self.use_arena is None else self.use_arena
         arena = thread_arena() if want_arena else None
-        state = RoundState(
-            problem, ledger, rebuild_every=self.rebuild_every, arena=arena
-        )
+        state = RoundState(problems, ledger, arena=arena)
         workspace = arena.workspace if arena is not None else MatchingWorkspace()
         # The warm solver must outlive the round loop (its duals carry
         # between rounds), so it cannot live behind the stateless
         # min_cost_max_matching_arrays interface.
         warm = (
-            warm_solver_for(
-                problem, ledger, arena=arena,
-                universe_cost_sum=self.universe_cost_sum,
-            )
+            state.warm_solver(arena=arena, universe_cost_sum=self.universe_cost_sum)
             if backend == "warm"
             else None
         )
         warm_delta = warm_delta_enabled() if warm is not None else False
-        items = problem.items
-        placements: list[Placement] = []
-        counts = [0] * problem.request.chain.length
-        rounds = 0
-        trace: list[dict[str, object]] = []
-        meets = problem.request.meets_expectation
+        items = state.items
+        owners = state.owners
+        members = [
+            _Progress(problem, ladders)
+            for problem, ladders in zip(problems, state.reliability_ladders)
+        ]
         stop_at_expectation = self.stop_at_expectation
-        # Current per-position reliability factors R_i(counts[i]); their
-        # left-to-right product (math.prod) is bit-identical to
-        # problem.reliability_from_counts(counts).
-        ladders = state.reliability_ladders
-        factors = [ladder[0] for ladder in ladders]
+        max_rounds = self.max_rounds
         prod = math.prod
 
-        def expectation_reached() -> bool:
-            return stop_at_expectation and meets(prod(factors))
-
-        while rounds < self.max_rounds and state.has_items and not expectation_reached():
-            rows, cols, edge_rows, edge_cols, edge_costs = state.build_edges()
-            if not edge_costs:
+        while True:
+            # A problem leaves the rounds at its round bound or once it
+            # meets its expectation, exactly where its solo loop would stop.
+            for m in list(state.active):
+                progress = members[m]
+                if progress.rounds >= max_rounds or (
+                    stop_at_expectation and progress.meets(prod(progress.factors))
+                ):
+                    state.retire(m)
+            if not state.active:
                 break
+
+            rows, cols, edge_rows, edge_cols, edge_costs = state.build_edges()
+            # A problem with no live edge can make no further progress (its
+            # solo loop would break here): retire it, and rebuild so the
+            # graph covers exactly the problems still solving.
+            stalled = state.stalled()
+            if stalled:
+                for m in stalled:
+                    state.retire(m)
+                continue
 
             if warm is not None:
                 if warm_delta:
@@ -275,34 +382,50 @@ class MatchingHeuristic(AugmentationAlgorithm):
                 )
             if not matching:  # pragma: no cover - edges imply a non-empty matching
                 break
-            rounds += 1
 
             # Commit cheapest-first so a mid-round expectation stop keeps the
             # highest-gain (lowest-k) items, preserving the prefix structure.
+            # The stable sort keeps emission order (by local row) among equal
+            # costs, which restricted to one problem is its solo order.
             matching.sort(key=lambda e: e.cost)
+            if owners is None:
+                buckets = [matching]
+            else:
+                buckets = [[] for _ in members]
+                for edge in matching:
+                    buckets[owners[cols[edge.col]]].append(edge)
             touched: list[int] = []
             matched_indices: list[int] = []
-            round_placements: list[Placement] = []
-            for edge in matching:
-                item_index = cols[edge.col]
-                item = items[item_index]
-                u = rows[edge.row]
-                ledger.allocate(u, item.demand, tag=f"{item.function_name}#{item.k}")
-                placement = Placement.of(item, u)
-                placements.append(placement)
-                round_placements.append(placement)
-                position = item.position
-                counts[position] += 1
-                factors[position] = ladders[position][counts[position]]
-                matched_indices.append(item_index)
-                touched.append(u)
-                if expectation_reached():
-                    break
+            for progress, bucket in zip(members, buckets):
+                if not bucket:
+                    continue
+                progress.rounds += 1
+                ladders = progress.ladders
+                counts = progress.counts
+                factors = progress.factors
+                round_placements: list[Placement] = []
+                for edge in bucket:
+                    item_index = cols[edge.col]
+                    item = items[item_index]
+                    u = rows[edge.row]
+                    ledger.allocate(u, item.demand, tag=f"{item.function_name}#{item.k}")
+                    placement = Placement.of(item, u)
+                    progress.placements.append(placement)
+                    round_placements.append(placement)
+                    position = item.position
+                    counts[position] += 1
+                    factors[position] = ladders[position][counts[position]]
+                    matched_indices.append(item_index)
+                    touched.append(u)
+                    if stop_at_expectation and progress.meets(prod(factors)):
+                        break
+                if self.record_trace:
+                    progress.trace.append(
+                        self._trace_entry(progress.problem, round_placements, counts)
+                    )
             state.apply_round(touched, matched_indices)
-            if self.record_trace:
-                trace.append(self._trace_entry(problem, round_placements, counts))
 
-        return placements, rounds, trace
+        return [(m.placements, m.rounds, m.trace) for m in members]
 
     def _run_rounds_rebuild(
         self, problem: AugmentationProblem, backend: str

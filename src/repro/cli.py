@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("batched", "sequential"),
         default="batched",
-        help="batched = amortized union solves (warm backend); "
-        "sequential = the stock per-request path (identical results)",
+        help="batched = neighborhood-disjoint waves share one solve (warm "
+        "backend); sequential = one request per wave (identical results)",
     )
     serve.add_argument(
         "--backend",
@@ -328,7 +328,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.smoke:
         # replay_trace raises on any audit violation, so reaching this point
         # with audits > 0 means every refold matched; amortized waves prove
-        # the batched union path actually engaged.
+        # that waves of several members actually formed.
         if stats.audits < 1:
             print("smoke FAILED: no refold audit ran")
             return 1

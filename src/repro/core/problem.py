@@ -139,6 +139,25 @@ class AugmentationProblem:
         items, plan = generate_items_with_plan(
             request, primary_placement, neighborhoods, residuals, config=item_config
         )
+        return cls.from_items(
+            network, request, primary_placement, radius, residuals,
+            neighborhoods, items, plan,
+        )
+
+    @classmethod
+    def from_items(
+        cls,
+        network: MECNetwork,
+        request: Request,
+        primary_placement: Sequence[int],
+        radius: int,
+        residuals: Mapping[int, float],
+        neighborhoods: NeighborhoodIndex,
+        items: Sequence[BackupItem],
+        plan: object | None,
+    ) -> "AugmentationProblem":
+        """Assemble a problem from ``generate_items_with_plan``'s output;
+        ``residuals`` is kept as given, so problems can share one snapshot."""
         problem = cls(
             network=network,
             request=request,

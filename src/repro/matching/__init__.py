@@ -20,8 +20,9 @@ provides:
   ``scipy.sparse.csgraph``, skipping the dense ``(n+m)^2`` padding;
 * :class:`~repro.matching.warmstart.DualReusingSolver` -- the ``"warm"``
   backend: a sparse JV solver whose dual potentials *and matching* persist
-  across Algorithm 2's rounds (factory:
-  :func:`~repro.matching.incremental.warm_solver_for`); delta rounds keep
+  across Algorithm 2's rounds (factories:
+  :func:`~repro.matching.incremental.warm_solver_for` and
+  :meth:`~repro.matching.incremental.RoundState.warm_solver`); delta rounds keep
   still-valid pairs and re-augment only orphans
   (:meth:`~repro.matching.warmstart.DualReusingSolver.solve_round_delta`),
   online serving can checkpoint/rewind the persistent state
@@ -34,7 +35,8 @@ provides:
   :func:`~repro.matching.warmstart.warm_delta_enabled`);
 * :class:`~repro.matching.incremental.RoundState` -- the incremental round
   engine for Algorithm 2's hot path: static edge universe, delta-maintained
-  residuals, bit-identical to rebuilding ``G_l`` from scratch every round.
+  residuals, bit-identical to rebuilding ``G_l`` from scratch every round;
+  it also holds a *wave* of problems with disjoint cloudlets on one ledger.
 
 Backend selection (``"auto"``, the ``REPRO_MATCHING`` env switch, and the
 dense/sparse cutoff) lives in :mod:`repro.matching.mincost`.

@@ -45,11 +45,14 @@ in ``tests/test_matching_incremental.py`` proves placements, paper-cost
 totals, and per-round reliabilities identical on seeded instances across
 topology families, chain lengths, and radii.
 
-``rebuild_every=n`` (``n > 0``) additionally refreshes the entire residual
-snapshot from the ledger every ``n`` rounds instead of only the touched
-entries -- a belt-and-braces fallback knob; ``rebuild_every=1`` re-reads
-every residual every round, i.e. the engine re-derives the graph from the
-ledger exactly as the full-rebuild path does.
+Waves
+-----
+A :class:`RoundState` may also hold several problems that share one
+residual snapshot and use pairwise-disjoint cloudlets (a *wave*, see
+:meth:`repro.algorithms.heuristic.MatchingHeuristic.solve_wave`).  Their
+edge universes are concatenated in problem order, item indices offset by
+the preceding problems' item counts, so each round's graph is the
+disjoint union of the problems' own round graphs.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.core.items import reliability_ladder
+from repro.core.items import BackupItem, reliability_ladder
 from repro.core.problem import AugmentationProblem
 from repro.kernels.items import plan_of
 from repro.matching.warmstart import DualReusingSolver, UniverseIndex
@@ -158,6 +161,12 @@ def _statics(problem: AugmentationProblem) -> _ProblemStatics:
     return statics
 
 
+def edge_cost_sum(problem: AugmentationProblem) -> float:
+    """Summed cost of the problem's edge universe: a warm solve's default
+    dummy-cost base ``B - 1``, and the bound a pinned base must exceed."""
+    return _statics(problem).cost_sum
+
+
 def warm_solver_for(
     problem: AugmentationProblem,
     ledger: CapacityLedger,
@@ -175,10 +184,9 @@ def warm_solver_for(
     ``edge_idx`` fast path of ``solve_round_delta``.
 
     ``universe_cost_sum`` overrides the dummy-cost base ``B - 1``.  The
-    streaming admission service passes a fixed dominating constant here so
-    that a solve over a *union* of independent requests and a solo solve of
-    any one of them share the exact same ``B`` (and hence bit-identical
-    tie-breaking within each request's connected component).
+    streaming admission service pins it to a fixed dominating constant so
+    that a wave solve (:meth:`RoundState.warm_solver`) and a solo solve of
+    any one of its problems share the exact same ``B``.
     """
     statics = _statics(problem)
     nodes = ledger.nodes
@@ -201,15 +209,16 @@ class RoundState:
 
     Parameters
     ----------
-    problem:
-        The augmentation instance being solved.
+    problems:
+        The augmentation instances solved together: one for a solo solve,
+        several for a wave.  A wave's problems must not share a cloudlet
+        (checked here), so their round graphs never touch.  Item indices
+        are global: problem ``p``'s items follow those of problems
+        ``0 .. p-1``.
     ledger:
         The live capacity ledger the caller commits placements against.
         The engine assumes residuals only decrease while it is active
         (true for Algorithm 2, which never rolls back inside a solve).
-    rebuild_every:
-        Refresh the full residual snapshot from the ledger every this-many
-        rounds (``0`` = pure delta maintenance, the default).
     arena:
         Optional :class:`repro.kernels.arena.MatrixArena` to lease the
         residual snapshot and scratch index maps from instead of allocating
@@ -222,38 +231,66 @@ class RoundState:
 
     def __init__(
         self,
-        problem: AugmentationProblem,
+        problems: Sequence[AugmentationProblem],
         ledger: CapacityLedger,
-        rebuild_every: int = 0,
         arena: MatrixArena | None = None,
     ):
-        if rebuild_every < 0:
-            raise ValidationError(f"rebuild_every must be >= 0, got {rebuild_every}")
         self._ledger = ledger
-        self._rebuild_every = rebuild_every
-        self._items = problem.items
+        self._problems = tuple(problems)
         self._nodes: list[int] = ledger.nodes  # fixed ledger ordering
         for v in self._nodes:
             if v < 0:
                 raise ValidationError(
                     f"negative cloudlet id {v} unsupported by the incremental engine"
                 )
-        statics = _statics(problem)
-        self._edge_item = statics.edge_item
-        self._edge_node = statics.edge_node
-        self._edge_cost = statics.edge_cost
-        self._edge_demand = statics.edge_demand
-        self._rel_ladders = statics.rel_ladders
-        n_items = len(self._items)
-        size = max(max(self._nodes, default=-1), statics.max_node) + 1
+        statics = [_statics(problem) for problem in problems]
+        self._rel_ladders = tuple(s.rel_ladders for s in statics)
+        self._spans: list[tuple[int, int]] = []
+        n_items = 0
+        for problem in problems:
+            self._spans.append((n_items, n_items + len(problem.items)))
+            n_items += len(problem.items)
+        if len(statics) == 1:
+            (only,) = statics
+            self._items = problems[0].items
+            self._edge_item = only.edge_item
+            self._edge_node = only.edge_node
+            self._edge_cost = only.edge_cost
+            self._edge_demand = only.edge_demand
+            self._edge_member: np.ndarray | None = None
+            self.owners: list[int] | None = None
+        else:
+            self._items = tuple(item for problem in problems for item in problem.items)
+            self._edge_item = np.concatenate(
+                [s.edge_item + lo for s, (lo, _) in zip(statics, self._spans)]
+            )
+            self._edge_node = np.concatenate([s.edge_node for s in statics])
+            self._edge_cost = np.concatenate([s.edge_cost for s in statics])
+            self._edge_demand = np.concatenate([s.edge_demand for s in statics])
+            members = np.arange(len(statics))
+            self._edge_member = np.repeat(members, [s.edge_node.size for s in statics])
+            #: Problem index of every global item index (waves only).
+            self.owners = np.repeat(members, [hi - lo for lo, hi in self._spans]).tolist()
+        size = max(max(self._nodes, default=-1), max(s.max_node for s in statics)) + 1
+        self._size = size
+        if self._edge_member is not None:
+            # A cloudlet claimed by two problems' edges reads back the
+            # other problem's index.
+            claim = np.empty(size, dtype=np.intp)
+            claim[self._edge_node] = self._edge_member
+            clash = claim[self._edge_node] != self._edge_member
+            if clash.any():
+                raise ValidationError(
+                    f"wave problems share cloudlet {int(self._edge_node[clash.argmax()])}"
+                )
         if arena is not None:
             self._item_alive = arena.take("item_alive", n_items, bool)
             self._item_alive[:] = True
             # Residual snapshot, delta-maintained: exact ledger floats,
-            # refreshed only for touched nodes (plus the full refresh of
-            # rebuild_every).  Zero-filled like the fresh allocation: gap
-            # entries (non-ledger nodes below `size`) are read by
-            # build_edges' `res[v] > 0` test and must not hold stale floats.
+            # refreshed only for touched nodes.  Zero-filled like the fresh
+            # allocation: gap entries (non-ledger nodes below `size`) are
+            # read by build_edges' `res[v] > 0` test and must not hold
+            # stale floats.
             self._res = arena.take("res", size, np.float64)
             self._res[:] = 0.0
             # Scratch index maps, overwritten each round before use.
@@ -266,16 +303,16 @@ class RoundState:
             self._node_to_row = np.zeros(size, dtype=np.intp)
             self._col_of = np.zeros(n_items, dtype=np.intp)
             self._arange = np.arange(max(size, n_items), dtype=np.intp)
-        self._num_alive = n_items
         self._refresh_residuals()
-        self._rounds_applied = 0
         self._last_edge_idx: np.ndarray | None = None
+        #: Indices of the problems still taking part in the rounds.
+        self.active: list[int] = list(range(len(self._spans)))
 
     # -- queries --------------------------------------------------------------
     @property
-    def has_items(self) -> bool:
-        """Whether any unmatched item remains."""
-        return self._num_alive > 0
+    def items(self) -> tuple[BackupItem, ...]:
+        """Every problem's items, indexed by global item index."""
+        return self._items
 
     @property
     def last_edge_idx(self) -> np.ndarray | None:
@@ -289,21 +326,40 @@ class RoundState:
         return self._last_edge_idx
 
     @property
-    def reliability_ladders(self) -> tuple[tuple[float, ...], ...]:
-        """Per-position ladders ``R_i(0..K_i)``; ``ladders[i][k]`` equals
-        ``function_reliability(r_i, k)`` exactly."""
+    def reliability_ladders(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """Per problem, the per-position ladders ``R_i(0..K_i)``;
+        ``ladders[p][i][k]`` equals ``function_reliability(r_i, k)`` exactly."""
         return self._rel_ladders
 
-    def reliability_from_counts(self, counts: Sequence[int]) -> float:
-        """``u_j`` for per-position backup counts, via the cached ladders.
+    def stalled(self) -> list[int]:
+        """The active problems without an edge in the last built round."""
+        idx = self._last_edge_idx
+        if self._edge_member is None:
+            return [] if idx.size else list(self.active)
+        counts = np.bincount(self._edge_member[idx], minlength=len(self._spans))
+        return [m for m in self.active if not counts[m]]
 
-        Bit-identical to ``problem.reliability_from_counts`` (same factors,
-        same multiplication order).
-        """
-        product = 1.0
-        for ladder, count in zip(self._rel_ladders, counts):
-            product *= ladder[count]
-        return product
+    def warm_solver(
+        self,
+        arena: "MatrixArena | None" = None,
+        universe_cost_sum: float | None = None,
+    ) -> DualReusingSolver:
+        """The :class:`DualReusingSolver` for these rounds: for one problem
+        :func:`warm_solver_for`'s, for a wave one over the concatenated
+        universe, which needs ``universe_cost_sum`` pinned."""
+        if len(self._problems) == 1:
+            return warm_solver_for(
+                self._problems[0], self._ledger, arena=arena,
+                universe_cost_sum=universe_cost_sum,
+            )
+        if universe_cost_sum is None:
+            raise ValidationError("a wave's warm solver needs a pinned universe_cost_sum")
+        return DualReusingSolver(
+            self._size, len(self._items), float(universe_cost_sum), arena=arena,
+            universe=UniverseIndex(
+                self._edge_node, self._edge_item, self._edge_cost, self._nodes
+            ),
+        )
 
     # -- round construction ----------------------------------------------------
     def build_edges(
@@ -312,10 +368,10 @@ class RoundState:
         """The round's graph: ``(rows, cols, edge_rows, edge_cols, edge_costs)``.
 
         ``rows`` are cloudlet node ids (positive residual, ledger order),
-        ``cols`` are item indices (generation order), and the three parallel
-        edge arrays enumerate edges item-major in each item's bin order --
-        exactly the sequence the full-rebuild path produces, so the derived
-        pad value and padded matrix are bit-identical.
+        ``cols`` are global item indices (generation order), and the three
+        parallel edge arrays enumerate edges item-major in each item's bin
+        order -- exactly the sequence the full-rebuild path produces, so the
+        derived pad value and padded matrix are bit-identical.
         """
         res = self._res
         rows = [v for v in self._nodes if res[v] > 0.0]
@@ -338,6 +394,12 @@ class RoundState:
         return rows, cols, edge_rows, edge_cols, edge_costs
 
     # -- delta application -----------------------------------------------------
+    def retire(self, member: int) -> None:
+        """Take problem ``member`` out of every later round."""
+        lo, hi = self._spans[member]
+        self._item_alive[lo:hi] = False
+        self.active.remove(member)
+
     def apply_round(self, touched: Sequence[int], matched: Sequence[int]) -> None:
         """Commit one round's outcome to the incremental state.
 
@@ -348,25 +410,16 @@ class RoundState:
             only nodes whose residual -- and hence edge set -- can have
             changed).
         matched:
-            Item indices placed this round; they leave ``I``.
+            Global item indices placed this round; they leave ``I``.
         """
-        alive = self._item_alive
-        for idx in matched:
-            if alive[idx]:
-                alive[idx] = False
-                self._num_alive -= 1
-        self._rounds_applied += 1
-        if self._rebuild_every and self._rounds_applied % self._rebuild_every == 0:
-            self._refresh_residuals()
-            return
+        self._item_alive[matched] = False
         residual = self._ledger.residual
         res = self._res
         for u in set(touched):
             res[u] = residual(u)
 
     def _refresh_residuals(self) -> None:
-        """Re-read every node's residual from the ledger (the fallback path;
-        also the initialisation)."""
+        """Read every node's residual from the ledger (the initialisation)."""
         residual = self._ledger.residual
         res = self._res
         for v in self._nodes:

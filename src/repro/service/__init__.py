@@ -3,9 +3,10 @@
 Turns the offline request-stream controller into a long-running admission
 service: arrivals and departures are driven on a clock through a
 deterministic event queue (:mod:`repro.service.events`), concurrent
-arrivals are coalesced into admission batches that amortise one BMCGAP
-item-generation pass and one warm-started matching solve across the batch
-(:mod:`repro.service.batch`), capacity lives in one
+arrivals are coalesced into admission batches whose neighborhood-disjoint
+waves share one warm-started round loop
+(:meth:`repro.algorithms.heuristic.MatchingHeuristic.solve_wave`, called
+from :mod:`repro.service.batch`), capacity lives in one
 :class:`~repro.netmodel.capacity.CapacityLedger` whose per-node journals
 make a departure cost O(its allocations), and
 the replay driver / asyncio front-end live in :mod:`repro.service.server`.

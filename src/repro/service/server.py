@@ -6,14 +6,15 @@ Two entry points share the :class:`~repro.service.batch.BatchAdmissionEngine`:
   It walks a trace on a virtual clock through a
   :class:`~repro.service.events.ServiceEventQueue`, coalesces the arrivals
   of each admission *window* into one batch, fires the departures due
-  before each window, samples queue depth, measures per-request wall-clock
-  admission latency (enqueue to batch commit), and runs the per-node
+  before each window, samples queue depth, records per request the wall
+  time of the ``admit_batch`` call that decided it, and runs the per-node
   ledger refold audit every ``audit_every`` batches.
 * :class:`AdmissionService` -- a long-running asyncio service: a bounded
   admission queue applies backpressure (a full queue sheds the arrival and
   bumps the shed counter), a batcher task drains whatever is queued each
   window into one ``admit_batch`` call, and departures are scheduled with
-  ``call_later``.  Results are delivered through futures.
+  ``call_later`` (a failing departure reaches the event loop's exception
+  handler).  Results are delivered through futures.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class ReplayStats:
     windows: int = 0
     audits: int = 0
     wall_seconds: float = 0.0
-    #: Wall-clock admission latency per non-shed request, by phase label.
+    #: Per non-shed request, by phase label: the wall time of the
+    #: ``admit_batch`` call that decided its window.
     latencies: dict[str, list[float]] = field(default_factory=dict)
     records: list[AdmissionRecord] = field(default_factory=list)
 
@@ -80,9 +82,11 @@ def replay_trace(
     consumed it is decided.
 
     ``audit_every > 0`` runs :func:`repro.chaos.audit.audit_sharded` every
-    that-many batches (raising on any refold divergence).  Latencies are
-    wall-clock (``perf_counter``) from trace enqueue to batch commit, per
-    phase label; shed requests record no latency (they were never solved).
+    that-many batches (raising on any refold divergence).  A request's
+    latency is the wall time (``perf_counter``) of the ``admit_batch`` call
+    that decided its window, per phase label: it excludes the departures
+    fired before that call and the virtual-clock wait for the window to
+    close.  Shed requests record no latency (they were never solved).
     """
     if window <= 0:
         raise ValidationError(f"window must be > 0, got {window}")
@@ -407,17 +411,7 @@ class AdmissionService:
             self.shed_count += 1
             if self.metrics is not None:
                 self.metrics.on_shed()
-            future.set_result(
-                AdmissionRecord(
-                    name=request.name,
-                    admitted=False,
-                    primaries=(),
-                    placements=(),
-                    reliability=0.0,
-                    expectation_met=False,
-                    rejected_reason="shed",
-                )
-            )
+            future.set_result(AdmissionRecord.rejected(request.name, "shed"))
         return future
 
     @property
@@ -451,15 +445,9 @@ class AdmissionService:
             if self.metrics is not None and record.rejected_reason != "shed":
                 self.metrics.on_admission_latency(now - enqueued)
             if record.admitted and holding is not None:
-                loop.call_later(holding, self._depart_safely, record.name)
+                loop.call_later(holding, self.engine.depart, record.name)
             if not future.done():
                 future.set_result(record)
-
-    def _depart_safely(self, name: str) -> None:
-        try:
-            self.engine.depart(name)
-        except ValidationError:  # pragma: no cover - departed twice / stopped
-            pass
 
     async def _batcher(self) -> None:
         while True:

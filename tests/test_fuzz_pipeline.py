@@ -126,8 +126,8 @@ class TestTheorem62CapacitySafety:
     ENGINES = [
         MatchingHeuristic(),
         MatchingHeuristic(stop_at_expectation=False),
-        MatchingHeuristic(rebuild_every=1),
-        MatchingHeuristic(stop_at_expectation=False, rebuild_every=3),
+        MatchingHeuristic(backend="warm"),
+        MatchingHeuristic(stop_at_expectation=False, backend="warm"),
     ]
 
     @pytest.mark.parametrize(

@@ -12,10 +12,9 @@ SFC length, radius, and residual scale all vary), comparing:
 * the per-round trace -- what was placed, the round's paper cost, and the
   achieved reliability after the round -- via ``record_trace=True``.
 
-The ``rebuild_every`` fallback knob and the from-scratch ``"own"``
-Hungarian backend are held to the same standard on a subset, and the
-array-based matcher entry point is checked against the mapping-based one
-directly on random bipartite graphs.
+The from-scratch ``"own"`` Hungarian backend is held to the same standard
+on a subset, and the array-based matcher entry point is checked against
+the mapping-based one directly on random bipartite graphs.
 """
 
 from __future__ import annotations
@@ -78,14 +77,6 @@ class TestDifferentialSuite:
         problem = instance_factory(spec)
         inc, reb = _solve_both(problem, stop_at_expectation=False)
         _assert_identical(inc, reb, spec)
-
-    @pytest.mark.parametrize("rebuild_every", [1, 3])
-    @pytest.mark.parametrize("spec", SPECS[::7], ids=SPEC_IDS[::7])
-    def test_fallback_knob_identical(self, spec, rebuild_every, instance_factory):
-        """The rebuild_every fallback changes nothing about the results."""
-        problem = instance_factory(spec)
-        inc, reb = _solve_both(problem, rebuild_every=rebuild_every)
-        _assert_identical(inc, reb, (spec, rebuild_every))
 
     @pytest.mark.parametrize("spec", SPECS[::10], ids=SPEC_IDS[::10])
     def test_own_backend_identical(self, spec, instance_factory):

@@ -160,6 +160,30 @@ class TestAdmissionService:
             assert held > 0
         assert after == 0.0
 
+    def test_failing_departure_reaches_the_loop_exception_handler(self):
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: errors.append(context.get("exception"))
+            )
+            engine = make_engine(seed=15)
+            service = AdmissionService(engine, window=0.005)
+            await service.start()
+            rng = np.random.default_rng(15)
+            record = await service.submit(
+                make_request(SETTINGS, _CATALOG, rng, name="gone"), holding=0.02
+            )
+            if record.admitted:
+                engine.depart("gone")  # before the scheduled departure fires
+            await asyncio.sleep(0.06)
+            await service.stop()
+            return record, errors
+
+        record, errors = async_run(scenario())
+        assert record.admitted
+        assert len(errors) == 1
+        assert isinstance(errors[0], ValidationError)
+
     def test_lifecycle_guards(self):
         async def scenario():
             service = AdmissionService(make_engine(seed=13))
