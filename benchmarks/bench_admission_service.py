@@ -64,10 +64,10 @@ SEED = 23
 _REFERENCE_NODES = 100
 _REFERENCE_ALPHA = 0.4
 
-#: The per-request fixed costs the union path amortizes (residual snapshot,
-#: problem build, solver construction) all scale with network size, and wave
-#: width scales with cloudlet count -- so the amortization claim needs the
-#: large network.  1024 cloudlets give ~12-member waves and a stable >= 1.5x.
+#: The per-wave costs the union path amortizes (residual snapshot, scratch
+#: ledger, solver construction) scale with the wave's domain, not with the
+#: network; what needs the large network is wave width, which scales with
+#: cloudlet count.  1024 cloudlets give ~12-member waves.
 FULL_SCALE = {
     "requests": 1_000_000,
     "num_aps": 10_240,

@@ -6,26 +6,16 @@ bins, :func:`capacity_bound_items` sums ``floor(C'_u / c(f_i))`` bin by
 bin, every ladder access copies a tuple slice, and one frozen-dataclass
 constructor call per item pays seven ``object.__setattr__`` round trips.
 
-This module computes the batch-shaped parts in bulk and strips the
-per-item constant factors:
+This module strips the per-item constant factors:
 
-* **candidate bins and ``K_i``** -- two strategies, selected by instance
-  shape (``strategy="auto"``) and both proven bit-identical to the legacy
-  loop by ``tests/test_kernels_differential.py``:
-
-  - ``"matrix"`` (large ``positions x cloudlets`` products): one boolean
-    matrix from :meth:`NeighborhoodIndex.cloudlet_membership` (itself a
-    batched CSR BFS) combined with the residual vector -- the fit test
-    ``C'_u + 1e-9 >= c(f_i)``, the positive-residual guard, the ``floor``
-    counts, and the per-position bin lists are each a single NumPy
-    expression across *all* positions;
-  - ``"fused"`` (small products, e.g. the paper's 10-cloudlet figures,
-    where even one tiny array op per position costs more than the whole
-    position): a single fused pass per position over the memoized
-    ``closed_cloudlets`` tuple -- candidate filter, ``K_i`` accumulation
-    with early exit at the budget cap, and item emission in one loop,
-    with the ``l``-hop sets still served by the batched CSR kernel
-    (:meth:`NeighborhoodIndex.prefetch` on the chain's primaries);
+* **candidate bins and ``K_i``** -- one pass per position over the
+  memoized ``closed_cloudlets`` tuple of its primary filters the
+  candidates and accumulates ``K_i``, with the ``l``-hop sets served by
+  the batched CSR kernel (:meth:`NeighborhoodIndex.prefetch` on the
+  chain's primaries).  Generation reads the residuals of the primaries'
+  neighborhoods only, so a map holding just the request's domain yields
+  the same items -- ``tests/test_kernels_differential.py`` proves both
+  bit-identical to the legacy loop;
 * **ladders** -- full per-``r`` tuples memoized here and served without
   the per-call slice copies of :func:`paper_cost_ladder` /
   :func:`gain_ladder`; the *values* come from those very scalar
@@ -200,12 +190,6 @@ def plan_of(problem: object) -> ItemPlan | None:
 
 # -- vectorized generation -----------------------------------------------------
 
-#: ``chain length x num cloudlets`` above which the whole-matrix strategy
-#: beats the fused per-position pass.  Below it (the paper's figure scale:
-#: 10 cloudlets, chains <= 10) every tiny array op costs more than the
-#: work it replaces.
-_MATRIX_MIN_CELLS = 256
-
 
 def generate_items_vectorized(
     request,
@@ -213,7 +197,6 @@ def generate_items_vectorized(
     neighborhoods,
     residuals: Mapping[int, float],
     config: ItemGenerationConfig,
-    strategy: str = "auto",
 ) -> tuple[list[BackupItem], ItemPlan | None] | None:
     """Array-native :func:`repro.core.items.generate_items`.
 
@@ -222,58 +205,17 @@ def generate_items_vectorized(
     flattened edge universe (``None`` when node ids are not integers), or
     ``None`` when this index cannot serve the batch interface (legacy
     engine, or built without cloudlets) -- the caller then falls back to
-    the scalar path.
-
-    ``strategy`` selects the candidate/count formulation: ``"matrix"``
-    (bulk NumPy over positions x cloudlets), ``"fused"`` (one lean pass
-    per position), or ``"auto"`` (by instance shape).  Both produce the
-    identical item sequence.
+    the scalar path.  ``residuals`` needs only the cloudlets of the
+    primaries' neighborhoods; absent ones count as empty.
     """
-    chain = request.chain
-    cl_list = neighborhoods.cloudlet_ids_list
-    if cl_list is None:
+    integer_ids = neighborhoods.integer_cloudlet_ids
+    if integer_ids is None:
         return None
-
-    integer_ids = all(type(u) is int for u in cl_list)
-    num_cl = len(cl_list)
-    if num_cl == 0:
-        return [], ItemPlan([]) if integer_ids else None
-
     # Gain still needed to lift the baseline reliability to the expectation
     # (identical expression to the scalar path).
     needed_gain = max(
-        0.0, -math.log(chain.primaries_reliability()) - request.budget
+        0.0, -math.log(request.chain.primaries_reliability()) - request.budget
     )
-
-    if strategy == "auto":
-        strategy = (
-            "matrix" if chain.length * num_cl >= _MATRIX_MIN_CELLS else "fused"
-        )
-    if strategy == "matrix":
-        return _generate_matrix(
-            request, primary_placement, neighborhoods, residuals, config,
-            cl_list, integer_ids, needed_gain,
-        )
-    if strategy != "fused":
-        raise ValueError(f"unknown generation strategy {strategy!r}")
-    return _generate_fused(
-        request, primary_placement, neighborhoods, residuals, config,
-        integer_ids, needed_gain,
-    )
-
-
-def _generate_fused(
-    request,
-    primary_placement: Sequence[int],
-    neighborhoods,
-    residuals: Mapping[int, float],
-    config: ItemGenerationConfig,
-    integer_ids: bool,
-    needed_gain: float,
-) -> tuple[list[BackupItem], ItemPlan | None] | None:
-    """One lean pass per position: candidate filter, ``K_i`` accumulation
-    (early exit at the effective cap), and item emission fused into a
-    single loop over the memoized ``closed_cloudlets`` tuple."""
     if neighborhoods.radius > 1:
         # One batched CSR BFS covers every primary of the chain; at
         # radius <= 1 the sets come off the adjacency dict, nothing to batch.
@@ -356,112 +298,6 @@ def _generate_fused(
             items.append(item)
         if integer_ids:
             segments.append((base, keep, bins, costs, demand))
-
-    return items, ItemPlan(segments) if integer_ids else None
-
-
-def _generate_matrix(
-    request,
-    primary_placement: Sequence[int],
-    neighborhoods,
-    residuals: Mapping[int, float],
-    config: ItemGenerationConfig,
-    cl_list: list,
-    integer_ids: bool,
-    needed_gain: float,
-) -> tuple[list[BackupItem], ItemPlan | None] | None:
-    """Whole-matrix strategy: candidates and ``K_i`` as bulk NumPy
-    expressions over all positions at once."""
-    funcs = list(request.chain)
-    length = len(funcs)
-    demands = np.fromiter((f.demand for f in funcs), dtype=np.float64, count=length)
-    if demands.min() <= 0.0:
-        # Legacy path raises ValidationError (via capacity_bound_items) for
-        # non-positive demands; defer to it rather than divide by zero here.
-        return None
-    member = neighborhoods.cloudlet_membership(primary_placement)
-    if member is None:  # pragma: no cover - cl_list implies membership support
-        return None
-    num_cl = len(cl_list)
-
-    # Same literal tests as the scalar path, across all positions at once:
-    # a candidate bin is a neighborhood cloudlet with C'_u + 1e-9 >= c(f_i);
-    # its item count floor((C'_u + 1e-9) / c(f_i)) counts only when C'_u > 0.
-    res_cl = np.fromiter(
-        (residuals.get(u, 0.0) for u in cl_list), dtype=np.float64, count=num_cl
-    )
-    res_slack = res_cl + _SLACK
-    allowed = member & (res_slack[None, :] >= demands[:, None])
-    counts = (res_slack[None, :] / demands[:, None]).astype(np.int64)
-    counts *= allowed & (res_cl > 0.0)[None, :]
-    k_bounds = counts.sum(axis=1).tolist()
-
-    # Per-position candidate-bin lists from ONE nonzero pass over the
-    # matrix: row-major order keeps each row's columns ascending, i.e. the
-    # sorted bin order of the legacy closed_cloudlets path.
-    rows, cols = np.nonzero(allowed)
-    ends = np.cumsum(np.bincount(rows, minlength=length)).tolist()
-    cols_list = cols.tolist()
-
-    headroom = config.budget_headroom
-    max_backups = config.max_backups_per_function
-    floor = config.gain_floor
-
-    new_item = BackupItem.__new__
-    items: list[BackupItem] = []
-    segments: list[tuple[int, int, tuple, tuple[float, ...], float]] = []
-    start = 0
-    for i in range(length):
-        end = ends[i]
-        if end == start:
-            continue
-        func = funcs[i]
-        r = func.reliability
-        k_max = k_bounds[i]
-        if headroom is not None and r < 1.0:
-            cap = _budget_cap(r, needed_gain, headroom)
-            if cap < k_max:
-                k_max = cap
-        if max_backups is not None and max_backups < k_max:
-            k_max = max_backups
-        if k_max <= 0:
-            start = end
-            continue
-
-        gains = gain_tuple(r, k_max)
-        keep = k_max
-        if floor is not None:
-            # First k with gain below the floor ends the prefix -- gains
-            # decrease in k, mirroring the scalar loop's ``break``.
-            for j in range(k_max):
-                if gains[j] < floor:
-                    keep = j
-                    break
-        if keep == 0:
-            start = end
-            continue
-
-        costs = cost_tuple(r, keep)
-        bins = tuple(cl_list[c] for c in cols_list[start:end])
-        name = func.name
-        demand = func.demand
-        base = len(items)
-        for k in range(1, keep + 1):
-            # Same field values as BackupItem(...), without the frozen-
-            # dataclass __setattr__ round trips.
-            item = new_item(BackupItem)
-            d = item.__dict__
-            d["position"] = i
-            d["k"] = k
-            d["function_name"] = name
-            d["demand"] = demand
-            d["gain"] = gains[k - 1]
-            d["cost"] = costs[k - 1]
-            d["bins"] = bins
-            items.append(item)
-        if integer_ids:
-            segments.append((base, keep, bins, costs, demand))
-        start = end
 
     return items, ItemPlan(segments) if integer_ids else None
 

@@ -118,11 +118,12 @@ class NeighborhoodIndex:
         self._kernel = kernel
         self._kernel_pending = kernel is None and kernels_enabled()
         # Sorted cloudlet ids for the kernel engine; the id / node-index
-        # *arrays* backing the vectorized accessors are built lazily --
-        # at radius <= 1 the hot accessors never touch them.
+        # *arrays* behind closed_cloudlets' masked gather are built lazily
+        # -- at radius <= 1 it never touches them.
         self._cl_list: list[int] | None = None
         self._cl_ids: np.ndarray | None = None
         self._cl_pos: np.ndarray | None = None
+        self._cl_int: bool | None = None
         # Raw adjacency dict-of-dicts: graph.adj builds an AdjacencyView per
         # access and routes membership through __getitem__; the underlying
         # dict is stable here because MECNetwork freezes its graph.
@@ -272,37 +273,14 @@ class NeighborhoodIndex:
                 self.closed(v)
 
     @property
-    def cloudlet_ids_array(self) -> np.ndarray | None:
-        """Sorted cloudlet ids as an array, or ``None`` off the kernel path.
-
-        Aligned with the columns of :meth:`cloudlet_membership`.
-        """
-        if self._cl_list is None:
-            return None
-        self._cl_positions()
-        return self._cl_ids
-
-    @property
-    def cloudlet_ids_list(self) -> list[int] | None:
-        """Sorted cloudlet ids as a plain list (same alignment), or ``None``
-        off the kernel path."""
-        return self._cl_list
-
-    def cloudlet_membership(self, nodes: Sequence[int]) -> np.ndarray | None:
-        """Boolean matrix ``M[s, j]`` = "cloudlet ``j`` is in ``N_l^+(nodes[s])``".
-
-        Columns follow :attr:`cloudlet_ids_array` (sorted cloudlet ids).
-        Returns ``None`` when the index runs the legacy engine or was built
-        without cloudlets; :mod:`repro.kernels.items` falls back to the
-        scalar generation loop in that case.
-        """
-        cl_pos = self._cl_positions()
-        if cl_pos is None:
-            return None
-        masks = self._kernel.masks_for(list(nodes))
-        if not masks:
-            return np.zeros((0, len(cl_pos)), dtype=bool)
-        return np.stack(masks)[:, cl_pos]
+    def integer_cloudlet_ids(self) -> bool | None:
+        """Whether every cloudlet id is a plain ``int`` (decided once per
+        index), or ``None`` off the kernel path -- the legacy engine, or an
+        index built without cloudlets -- where :mod:`repro.kernels.items`
+        falls back to the scalar generation loop."""
+        if self._cl_int is None and self._cl_list is not None:
+            self._cl_int = all(type(u) is int for u in self._cl_list)
+        return self._cl_int
 
 
 def neighborhood_sequence(

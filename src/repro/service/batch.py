@@ -13,6 +13,14 @@ whose backup neighborhoods are disjoint from those of every request
 scanned before them; ``mode="sequential"`` (the differential reference)
 and every other backend use waves of one member.
 
+On the ``"warm"`` backend, in both modes, the snapshot holds only the
+wave's *domain* -- its members' ``l``-hop cloudlets, in ledger order --
+so the snapshot, the scratch ledger, the matching rows and the item
+candidates all scale with the wave, not with the network.  The other
+backends keep the full-network snapshot: scipy's padded matrix breaks
+ties over every row of the round graph, edge-less ones included, and
+``"auto"`` picks its backend by the round's size.
+
 Bit-identity contract
 ---------------------
 Batched admission produces exactly the same admit/reject decisions, the
@@ -28,6 +36,13 @@ sequential reference model (``tests/service_reference.py``).  The argument:
   the current wave, so overlapping requests always commit in arrival
   order.  Per-node allocation sequences are therefore identical across
   modes (a node only ever sees one wave member).
+* *Domain locality* (warm backend).  Every item of a member allows only
+  bins in ``D_j``, so a node outside the wave's domain never carries an
+  edge.  The snapshot keeps the domain in ledger order, so dropping those
+  rows maps every surviving row index monotonically.  The warm solver
+  gives each row a dummy column of its own, so an edge-less row pairs
+  only with that dummy and never enters another row's augmenting path:
+  the matching is the same.
 * *RNG-stream identity.*  Primary placements are drawn as one pure
   ``integers(0, num_cloudlets, size=L)`` call per request, in arrival
   order, in both modes -- no residual-dependent redraw.
@@ -186,6 +201,14 @@ class BatchAdmissionEngine:
         self._heuristic = MatchingHeuristic(
             backend=self.backend, universe_cost_sum=SERVICE_COST_CAP
         )
+        # Only the warm solver provably ignores rows without an edge: each
+        # row has a dummy column of its own.  scipy's padded matrix breaks
+        # ties over every row, so dropping edge-less rows moves its
+        # equal-cost matchings, and "auto" picks its backend by round size;
+        # every backend but warm keeps the full snapshot.
+        self._domain_local = self.backend == "warm"
+        #: Position of every ledger node, the order domain snapshots keep.
+        self._ledger_rank = {v: i for i, v in enumerate(ledger.nodes)}
         self._live: dict[str, list[Allocation]] = {}
         self.stats: dict[str, int] = {
             "batches": 0,
@@ -224,14 +247,13 @@ class BatchAdmissionEngine:
             members.append(member)
 
         pending = [m for m in members if m.record is None]
-        if self.mode == "batched" and self.backend == "warm":
+        if self._domain_local:
+            closed_cloudlets = self.neighborhoods.closed_cloudlets
             for member in pending:
                 member.domain = frozenset().union(
-                    *(
-                        frozenset(self.neighborhoods.closed_cloudlets(v))
-                        for v in member.draw
-                    )
+                    *(closed_cloudlets(v) for v in member.draw)
                 )
+        if self.mode == "batched" and self._domain_local:
             waves = self._classify_waves(pending)
         else:
             waves = [[member] for member in pending]
@@ -293,7 +315,15 @@ class BatchAdmissionEngine:
         live = [m for m in wave if m.record is None]
         if not live:
             return
-        snapshot = self.ledger.residuals()
+        if self._domain_local:
+            # Only the domain can carry an edge; ledger order keeps every
+            # round-local row index monotone in the full-network one.
+            rank = self._ledger_rank
+            domain = frozenset().union(*(m.domain for m in live)) & rank.keys()
+            residual = self.ledger.residual
+            snapshot = {v: residual(v) for v in sorted(domain, key=rank.__getitem__)}
+        else:
+            snapshot = self.ledger.residuals()
         solving: list[_Member] = []
         problems: list[AugmentationProblem] = []
         for member in live:

@@ -133,11 +133,12 @@ def test_generation_bit_identical_across_suite(kernels_off):
     assert exercised >= 25  # the comparison must not be vacuous
 
 
-def test_both_strategies_bit_identical_to_legacy():
-    """``generate_items_vectorized`` has two candidate/count formulations
-    (whole-matrix NumPy vs fused per-position pass, picked by shape under
-    ``strategy="auto"``); both must emit the exact legacy item sequence and
-    the same edge plan."""
+def test_kernel_on_domain_residuals_bit_identical_to_legacy():
+    """The admission service hands item generation a residual map of the
+    request's domain only (the cloudlets of its primaries' ``l``-hop
+    neighborhoods).  On such a map the kernel and the legacy loop must emit
+    the items legacy emits on the full map, and the kernel the same edge
+    plan as on the full map."""
     from repro.core.items import _generate_items_legacy
     from repro.experiments.instances import build_inputs
     from repro.kernels.csr import neighborhood_kernel
@@ -150,7 +151,13 @@ def test_both_strategies_bit_identical_to_legacy():
             for it in items
         ]
 
-    exercised = 0
+    def plan_arrays(plan):
+        return (
+            plan.edge_item.tolist(), plan.edge_node.tolist(),
+            plan.edge_cost.tolist(), plan.edge_demand.tolist(),
+        )
+
+    exercised = restricted = 0
     for spec in SPECS:
         inp = build_inputs(spec)
         # Explicit kernel: this test targets the vectorized entry point
@@ -162,37 +169,35 @@ def test_both_strategies_bit_identical_to_legacy():
             cloudlets=inp.network.cloudlets,
             kernel=neighborhood_kernel(graph, inp.radius),
         )
+        domain = set().union(*(nbhd.closed_cloudlets(v) for v in inp.primary_placement))
+        local = {v: c for v, c in inp.residuals.items() if v in domain}
+        restricted += len(local) < len(inp.residuals)
+
         legacy = tuples(
             _generate_items_legacy(
                 inp.request, inp.primary_placement, nbhd, inp.residuals,
                 inp.item_config,
             )
         )
-        plans = []
-        for strategy in ("matrix", "fused"):
-            out = generate_items_vectorized(
-                inp.request, inp.primary_placement, nbhd, inp.residuals,
-                inp.item_config, strategy=strategy,
+        assert tuples(
+            _generate_items_legacy(
+                inp.request, inp.primary_placement, nbhd, local, inp.item_config
             )
-            assert out is not None
-            items, plan = out
-            assert tuples(items) == legacy, (spec, strategy)
-            assert plan is not None
-            plans.append(plan)
-        matrix_plan, fused_plan = plans
-        assert matrix_plan.edge_item.tolist() == fused_plan.edge_item.tolist()
-        assert matrix_plan.edge_node.tolist() == fused_plan.edge_node.tolist()
-        assert matrix_plan.edge_cost.tolist() == fused_plan.edge_cost.tolist()
-        assert matrix_plan.edge_demand.tolist() == fused_plan.edge_demand.tolist()
+        ) == legacy, spec
+        outs = [
+            generate_items_vectorized(
+                inp.request, inp.primary_placement, nbhd, residuals, inp.item_config
+            )
+            for residuals in (local, inp.residuals)
+        ]
+        (items, plan), (_, full_plan) = outs
+        assert tuples(items) == legacy, spec
+        assert plan is not None and full_plan is not None
+        assert plan_arrays(plan) == plan_arrays(full_plan), spec
         if legacy:
             exercised += 1
     assert exercised >= 25
-
-    with pytest.raises(ValueError, match="unknown generation strategy"):
-        generate_items_vectorized(
-            inp.request, inp.primary_placement, nbhd, inp.residuals,
-            inp.item_config, strategy="bogus",
-        )
+    assert restricted >= 15  # the domain must actually drop cloudlets
 
 
 def test_plan_matches_statics_edge_universe(kernels_off):

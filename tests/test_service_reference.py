@@ -4,7 +4,8 @@
 a time and solves it with the heuristic's rebuild engine.  Both engine
 modes are compared with it on a sparse 500-AP network where most requests
 are admitted and many waves hold several members, with the cost-cap guard
-lowered until it trips, and on the duplicate-name rule.
+lowered until it trips, and on the duplicate-name rule.  The same network
+checks that the engine works on each wave's domain only.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 
 import repro.service.batch as batch_module
+from repro.algorithms.heuristic import MatchingHeuristic
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workload import make_request
+from repro.matching.incremental import RoundState
 from repro.netmodel.capacity import CapacityLedger
 from repro.netmodel.vnf import VNFCatalog
 from repro.service.batch import SERVICE_COST_CAP, BatchAdmissionEngine
@@ -61,23 +64,27 @@ def make_engine(kind, seed, cost_cap=SERVICE_COST_CAP):
     return BatchAdmissionEngine(_NETWORK, ledger=ledger, backend="warm", mode=kind, rng=rng)
 
 
+def replay(engine, seed):
+    """Replay seed's flash-crowd trace through ``engine``; its records and
+    per-node ``used``."""
+    trace = synthetic_trace(
+        flash_crowd_phases(80, base_rate=40.0),
+        _CATALOG,
+        SETTINGS,
+        rng=np.random.default_rng(100 + seed),
+        holding_time=1.0,
+    )
+    stats = replay_trace(engine, trace, window=1.0, keep_records=True)
+    return stats.records, [engine.ledger.used(v) for v in engine.ledger.nodes]
+
+
 def replay_all(seed, cost_cap=SERVICE_COST_CAP):
     """Replay one flash-crowd trace through every kind; records per kind
     and per-node ``used`` per kind."""
     records, used, engines = {}, {}, {}
     for kind in KINDS:
-        engine = make_engine(kind, seed, cost_cap)
-        trace = synthetic_trace(
-            flash_crowd_phases(80, base_rate=40.0),
-            _CATALOG,
-            SETTINGS,
-            rng=np.random.default_rng(100 + seed),
-            holding_time=1.0,
-        )
-        stats = replay_trace(engine, trace, window=1.0, keep_records=True)
-        records[kind] = stats.records
-        used[kind] = [engine.ledger.used(v) for v in engine.ledger.nodes]
-        engines[kind] = engine
+        engine = engines[kind] = make_engine(kind, seed, cost_cap)
+        records[kind], used[kind] = replay(engine, seed)
     return records, used, engines
 
 
@@ -101,6 +108,56 @@ class TestAmortizedDifferential:
         stats = engines["batched"].stats
         assert stats["admitted"] > 40
         assert stats["amortized_waves"] >= 5
+
+
+class TestDomainLocality:
+    """The warm engine works on each wave's domain only -- the members'
+    ``l``-hop cloudlets: ``admit_batch`` never snapshots the whole ledger,
+    and every matching round's rows lie inside the domain of the wave
+    being solved.  Records and per-node ``used`` still equal the
+    reference, which snapshots the whole network."""
+
+    @pytest.mark.parametrize("mode", ["batched", "sequential"])
+    def test_rounds_stay_inside_the_wave_domain(self, mode, monkeypatch):
+        seed = 1
+        snapshots, rounds, domain = [], [], set()
+        residuals = CapacityLedger.residuals
+        solve_wave = MatchingHeuristic.solve_wave
+        build_edges = RoundState.build_edges
+
+        def spy_residuals(ledger):
+            snapshots.append(ledger)
+            return residuals(ledger)
+
+        def spy_solve_wave(heuristic, problems):
+            domain.clear()
+            for problem in problems:
+                for v in problem.primary_placement:
+                    domain.update(problem.neighborhoods.closed_cloudlets(v))
+            return solve_wave(heuristic, problems)
+
+        def spy_build_edges(state):
+            edges = build_edges(state)
+            rounds.append(set(edges[0]) <= domain)
+            return edges
+
+        engine = make_engine(mode, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(CapacityLedger, "residuals", spy_residuals)
+            patch.setattr(MatchingHeuristic, "solve_wave", spy_solve_wave)
+            patch.setattr(RoundState, "build_edges", spy_build_edges)
+            records, used = replay(engine, seed)
+        assert not snapshots
+        assert len(rounds) > 50 and all(rounds)
+        # The default cap never trips here, so every live member is solved
+        # and the solved problems' domains are the wave's.
+        assert not any(r.rejected_reason == "cost-cap" for r in records)
+
+        ref_records, ref_used = replay(make_engine("reference", seed), seed)
+        assert [r.identity_key() for r in records] == [
+            r.identity_key() for r in ref_records
+        ]
+        assert used == ref_used
 
 
 class TestCostCapGuard:
