@@ -1,7 +1,7 @@
 """Matching backends: cross-check, consume replay, and online delta replay.
 
 Algorithm 2's inner loop is a min-cost maximum matching; this bench covers
-the four backends of :mod:`repro.matching.mincost` three ways:
+the three backends of :mod:`repro.matching.mincost` three ways:
 
 * **cross-check grid** -- every backend solves the same heuristic-shaped
   instances; cardinality and total cost must agree exactly (the exactness
@@ -59,7 +59,6 @@ import pytest
 from benchmarks.conftest import RESULTS_DIR, emit, emit_json
 from repro.algorithms.heuristic import MatchingHeuristic
 from repro.experiments.instances import InstanceSpec, build_instance
-from repro.matching.hungarian import solve_assignment
 from repro.matching.incremental import RoundState, warm_solver_for
 from repro.matching.mincost import (
     BACKENDS,
@@ -86,15 +85,6 @@ def bench_mincost_heuristic_shape(benchmark, backend):
     edges = _heuristic_shaped_edges(10, 150, seed=5)
     result = benchmark(min_cost_max_matching, 10, 150, edges, backend)
     assert len(result) == 10  # every cloudlet matched at this density
-
-
-@pytest.mark.parametrize("size", [50, 150])
-def bench_hungarian_dense(benchmark, size):
-    """Dense square assignment with the from-scratch JV solver."""
-    rng = np.random.default_rng(size)
-    cost = rng.uniform(0, 100, size=(size, size))
-    _, total = benchmark(solve_assignment, cost)
-    assert total > 0
 
 
 # -- cross-check grid --------------------------------------------------------------
@@ -186,12 +176,6 @@ FIG3_SHAPES = [
 
 #: Timed passes per backend per instance in the replay; minimum reported.
 REPLAY_REPS = 5
-
-#: Backends timed in the replay.  ``own`` is exact but O((n+m)^3) dense
-#: Python -- seconds per pass at replay scale -- so the cross-check grid
-#: and the property tests cover it instead.
-REPLAY_BACKENDS = ("scipy", "sparse", "warm")
-
 
 def capture_round_graphs(problem):
     """The round-graph sequence of one Algorithm 2 solve, as copies.
@@ -300,7 +284,7 @@ def run_replay(shapes=FIG3_SHAPES, reps=REPLAY_REPS):
         assert _matching_summary(warm_matchings) == reference
 
         seconds: dict[str, float] = {}
-        for backend in REPLAY_BACKENDS:
+        for backend in BACKENDS:
             best = float("inf")
             for _ in range(reps):
                 start = time.perf_counter()
@@ -461,7 +445,7 @@ def run_online_replay(shapes=FIG3_SHAPES, reps=REPLAY_REPS, n_events=ONLINE_EVEN
         stats = warm_solver.stats.as_dict()
 
         seconds: dict[str, float] = {}
-        for backend in REPLAY_BACKENDS:
+        for backend in BACKENDS:
             best = float("inf")
             for _ in range(reps):
                 if backend == "warm":
@@ -589,7 +573,6 @@ def emit_replay(results_dir, points, online_points, cold, reps):
                 "backends, on the full stream and on the snapshot/restore "
                 "serving path, before any timing"
             ),
-            "excluded": "own (exact but O((n+m)^3) dense Python; cross-check grid covers it)",
         },
         points=online_points,
         extra={
@@ -683,7 +666,7 @@ def main(argv):
         print(f"usage: bench_matching.py [--quick] (got {unknown})")
         return 2
     quick = "--quick" in argv
-    crosscheck = run_crosscheck()  # exactness across all four backends
+    crosscheck = run_crosscheck()  # exactness across all three backends
     cold = cold_single_shot(crosscheck)
     assert cold["warm_vs_scipy"] >= 1.0, cold
     if quick:

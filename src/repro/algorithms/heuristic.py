@@ -15,15 +15,14 @@ committed against a strict :class:`CapacityLedger` (no violation is ever
 possible -- Theorem 6.2), matched items leave ``I``, and the next round's
 graph is built on the updated residuals.
 
-Two engines construct the per-round graph (the results are identical; the
-differential suite in ``tests/test_matching_incremental.py`` proves it):
-
-* ``incremental=True`` (default): :class:`repro.matching.incremental.RoundState`
-  maintains the edge set across rounds by applying deltas -- matched items
-  leave, and only cloudlets whose residual crossed a ``c(f_i)`` threshold
-  lose edges -- and reuses the padded matrix buffer.
-* ``incremental=False``: the original full-rebuild path, kept verbatim as
-  the differential reference.
+:class:`repro.matching.incremental.RoundState` maintains the per-round
+graph across rounds by applying deltas -- matched items leave, and only
+cloudlets whose residual crossed a ``c(f_i)`` threshold lose edges -- and
+the padded matrix buffer is reused.  The original loop that rebuilds
+``G_l`` from the ledger every round is kept in
+``tests/reference/rebuild.py``; the differential suites
+(``tests/test_matching_incremental.py`` and others) prove the two
+identical placement by placement, round by round.
 
 The loop stops when the achieved reliability reaches the expectation
 ``rho_j`` or no edges remain.
@@ -67,17 +66,13 @@ from repro.algorithms.base import (
     finalize_result,
 )
 from repro.algorithms.ilp_exact import repair_prefix
-from repro.core.items import BackupItem
 from repro.core.problem import AugmentationProblem
 from repro.core.solution import AugmentationResult, AugmentationSolution, Placement
-from repro.kernels import kernels_enabled
 from repro.kernels.arena import thread_arena
-from repro.matching.incremental import RoundState, edge_cost_sum, warm_solver_for
+from repro.matching.incremental import RoundState, edge_cost_sum
 from repro.matching.mincost import (
     MatchEdge,
-    MatchingWorkspace,
     default_backend,
-    min_cost_max_matching,
     min_cost_max_matching_arrays,
     resolve_backend,
 )
@@ -127,7 +122,7 @@ class MatchingHeuristic(AugmentationAlgorithm):
     ----------
     backend:
         Matching backend: a :data:`repro.matching.mincost.BACKENDS` name
-        (``"scipy"``, ``"own"``, ``"sparse"``, ``"warm"``), ``"dense"``
+        (``"scipy"``, ``"sparse"``, ``"warm"``), ``"dense"``
         (alias for ``"scipy"``), or ``"auto"`` (dense below the sparse
         cutoff, sparse above -- per round).  ``None`` (default) defers to
         the ``REPRO_MATCHING`` environment variable at *solve* time
@@ -143,22 +138,10 @@ class MatchingHeuristic(AugmentationAlgorithm):
     max_rounds:
         Safety bound on matching rounds; the paper's analysis gives
         ``O(log N)`` rounds, so the default is generous.
-    incremental:
-        Use the incremental round engine (default True).  ``False`` selects
-        the full-rebuild reference path; both produce identical results.
     record_trace:
         Record a per-round trace (placements, cumulative paper cost,
         reliability) in ``result.meta["round_trace"]`` -- used by the
         differential tests; off by default to keep results lightweight.
-    use_arena:
-        Incremental engine only: lease the round engine's scratch arrays and
-        the padded matrix buffer from this thread's
-        :class:`repro.kernels.arena.MatrixArena` instead of allocating fresh
-        ones per solve.  ``None`` (default) follows the global kernel switch
-        (:func:`repro.kernels.kernels_enabled`).  The arena is resolved at
-        *solve* time via :func:`repro.kernels.arena.thread_arena` -- never
-        stored on the algorithm -- so instances stay picklable and
-        fork-safe (see ``docs/performance.md``).
     universe_cost_sum:
         Warm backend only: pin the dummy-cost base ``B - 1`` (see
         :func:`repro.matching.incremental.warm_solver_for`) instead of
@@ -173,9 +156,7 @@ class MatchingHeuristic(AugmentationAlgorithm):
         backend: str | None = None,
         stop_at_expectation: bool = True,
         max_rounds: int = 10_000,
-        incremental: bool = True,
         record_trace: bool = False,
-        use_arena: bool | None = None,
         universe_cost_sum: float | None = None,
     ):
         if backend is not None:
@@ -183,9 +164,7 @@ class MatchingHeuristic(AugmentationAlgorithm):
         self.backend = backend
         self.stop_at_expectation = stop_at_expectation
         self.max_rounds = max_rounds
-        self.incremental = incremental
         self.record_trace = record_trace
-        self.use_arena = use_arena
         self.universe_cost_sum = universe_cost_sum
 
     def solve(
@@ -211,7 +190,6 @@ class MatchingHeuristic(AugmentationAlgorithm):
         meta: dict[str, object] = {
             "rounds": outcome.rounds,
             "paper_cost_total": outcome.solution.total_cost,
-            "engine": "incremental" if self.incremental else "rebuild",
             "matching_backend": backend,  # "auto" concretises per round
         }
         if self.record_trace:
@@ -232,9 +210,9 @@ class MatchingHeuristic(AugmentationAlgorithm):
         :meth:`solve` assembles before the expectation trim and the usage
         statistics.  A problem whose baseline meets ``rho_j``, or that has
         no items, takes no round.  Several problems (see the module
-        docstring) need the warm backend on the incremental engine, a pinned
-        ``universe_cost_sum`` above each one's edge-cost sum, one shared
-        residual snapshot and pairwise-disjoint cloudlets, else
+        docstring) need the warm backend, a pinned ``universe_cost_sum``
+        above each one's edge-cost sum, one shared residual snapshot and
+        pairwise-disjoint cloudlets, else
         :class:`~repro.util.errors.ValidationError`.
         """
         backend = self._resolved_backend()
@@ -259,10 +237,9 @@ class MatchingHeuristic(AugmentationAlgorithm):
         )
 
     def _check_wave(self, problems: Sequence[AugmentationProblem], backend: str) -> None:
-        if backend != "warm" or not self.incremental:
+        if backend != "warm":
             raise ValidationError(
-                "a wave of several problems needs the incremental engine on the warm "
-                f"backend, got {backend!r} with incremental={self.incremental}"
+                f"a wave of several problems needs the warm backend, got {backend!r}"
             )
         cap, residuals = self.universe_cost_sum, problems[0].residuals
         for problem in problems:
@@ -278,13 +255,10 @@ class MatchingHeuristic(AugmentationAlgorithm):
         self, problems: Sequence[AugmentationProblem], backend: str
     ) -> list[WaveOutcome]:
         """Run the rounds and re-key each problem's placements to prefixes."""
-        if self.incremental:
-            runs = self._run_rounds_incremental(problems, backend)
-        else:
-            (problem,) = problems
-            runs = [self._run_rounds_rebuild(problem, backend)]
         outcomes = []
-        for problem, (placements, rounds, trace) in zip(problems, runs):
+        for problem, (placements, rounds, trace) in zip(
+            problems, self._run_rounds(problems, backend)
+        ):
             # Re-key to canonical per-position prefixes: an early stop inside
             # a round can otherwise leave e.g. k=2 committed without k=1.
             assignments = repair_prefix(
@@ -306,20 +280,21 @@ class MatchingHeuristic(AugmentationAlgorithm):
             "reliability": problem.reliability_from_counts(counts),
         }
 
-    def _run_rounds_incremental(
+    def _run_rounds(
         self, problems: Sequence[AugmentationProblem], backend: str
     ) -> list[tuple[list[Placement], int, list[dict[str, object]]]]:
-        """The incremental engine: delta-maintained ``G_l`` + buffer reuse.
+        """The round loop: delta-maintained ``G_l`` + buffer reuse.
 
         Each round solves the union graph of the problems still active, then
         commits every problem's matches cheapest-first, stopping mid-round
         once that problem meets its expectation (a solo solve is a wave of
         one)."""
         ledger = problems[0].ledger()
-        want_arena = kernels_enabled() if self.use_arena is None else self.use_arena
-        arena = thread_arena() if want_arena else None
+        # Resolved per solve, never stored on the algorithm, so instances
+        # stay picklable and fork-safe (see docs/performance.md).
+        arena = thread_arena()
         state = RoundState(problems, ledger, arena=arena)
-        workspace = arena.workspace if arena is not None else MatchingWorkspace()
+        workspace = arena.workspace
         # The warm solver must outlive the round loop (its duals carry
         # between rounds), so it cannot live behind the stateless
         # min_cost_max_matching_arrays interface.
@@ -426,91 +401,3 @@ class MatchingHeuristic(AugmentationAlgorithm):
             state.apply_round(touched, matched_indices)
 
         return [(m.placements, m.rounds, m.trace) for m in members]
-
-    def _run_rounds_rebuild(
-        self, problem: AugmentationProblem, backend: str
-    ) -> tuple[list[Placement], int, list[dict[str, object]]]:
-        """The original full-rebuild path (the differential reference)."""
-        ledger = problem.ledger()
-        remaining: list[BackupItem] = list(problem.items)
-        # Original item indices alongside `remaining`: the warm solver keys
-        # its column duals by them (so both engines address one dual store).
-        remaining_idx: list[int] = list(range(len(remaining)))
-        warm = (
-            warm_solver_for(problem, ledger, universe_cost_sum=self.universe_cost_sum)
-            if backend == "warm"
-            else None
-        )
-        warm_delta = warm_delta_enabled() if warm is not None else False
-        placements: list[Placement] = []
-        counts = [0] * problem.request.chain.length
-        rounds = 0
-        trace: list[dict[str, object]] = []
-
-        def expectation_reached() -> bool:
-            return self.stop_at_expectation and problem.request.meets_expectation(
-                problem.reliability_from_counts(counts)
-            )
-
-        while rounds < self.max_rounds and remaining and not expectation_reached():
-            # G_l: rows are cloudlets with room for something, cols are items.
-            cloudlets = [v for v in ledger.nodes if ledger.residual(v) > 0]
-            row_of = {v: r for r, v in enumerate(cloudlets)}
-            edges: dict[tuple[int, int], float] = {}
-            for c, item in enumerate(remaining):
-                for u in item.bins:
-                    r = row_of.get(u)
-                    if r is not None and ledger.fits(u, item.demand):
-                        edges[(r, c)] = item.cost
-            if not edges:
-                break
-
-            if warm is not None:
-                # Same round graph, arrays instead of the dict (dict
-                # insertion order is already item-major/bin order), columns
-                # keyed globally through remaining_idx.
-                solve = warm.solve_round_delta if warm_delta else warm.solve_round
-                matching = [
-                    MatchEdge(r, c, cost)
-                    for r, c, cost in solve(
-                        cloudlets,
-                        remaining_idx,
-                        [k[0] for k in edges],
-                        [k[1] for k in edges],
-                        list(edges.values()),
-                    )
-                ]
-            else:
-                matching = min_cost_max_matching(
-                    len(cloudlets), len(remaining), edges, backend=backend
-                )
-            if not matching:  # pragma: no cover - edges imply a non-empty matching
-                break
-            rounds += 1
-
-            # Commit cheapest-first so a mid-round expectation stop keeps the
-            # highest-gain (lowest-k) items, preserving the prefix structure.
-            matching.sort(key=lambda e: e.cost)
-            matched_cols: set[int] = set()
-            round_placements: list[Placement] = []
-            for edge in matching:
-                item = remaining[edge.col]
-                u = cloudlets[edge.row]
-                ledger.allocate(u, item.demand, tag=f"{item.function_name}#{item.k}")
-                placement = Placement.of(item, u)
-                placements.append(placement)
-                round_placements.append(placement)
-                counts[item.position] += 1
-                matched_cols.add(edge.col)
-                if expectation_reached():
-                    break
-            remaining = [
-                it for c, it in enumerate(remaining) if c not in matched_cols
-            ]
-            remaining_idx = [
-                i for c, i in enumerate(remaining_idx) if c not in matched_cols
-            ]
-            if self.record_trace:
-                trace.append(self._trace_entry(problem, round_placements, counts))
-
-        return placements, rounds, trace

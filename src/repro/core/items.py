@@ -192,20 +192,6 @@ class ItemGenerationConfig:
         return cls(gain_floor=None, budget_headroom=None, max_backups_per_function=None)
 
 
-def capacity_bound_items(
-    residuals: Mapping[int, float], bins: Sequence[int], demand: float
-) -> int:
-    """``K_i = sum_{u in bins} floor(C'_u / demand)`` (Section 4.3)."""
-    if demand <= 0:
-        raise ValidationError(f"demand must be > 0, got {demand}")
-    total = 0
-    for u in bins:
-        residual = residuals.get(u, 0.0)
-        if residual > 0:
-            total += int((residual + 1e-9) / demand)
-    return total
-
-
 def generate_items(
     request: Request,
     primary_placement: Sequence[int],
@@ -251,14 +237,12 @@ def generate_items_with_plan(
 ) -> tuple[list[BackupItem], object | None]:
     """:func:`generate_items`, plus the kernel's flattened edge universe.
 
-    When the array kernels are enabled (:func:`repro.kernels.kernels_enabled`)
-    and ``neighborhoods`` supports the batch interface, generation runs in
-    :func:`repro.kernels.items.generate_items_vectorized` and the second
-    element is its :class:`~repro.kernels.items.ItemPlan` (the (item, bin)
-    edge arrays the incremental matching engine adopts).  Otherwise the
-    scalar reference loop below runs and the plan is ``None``.  Both paths
-    emit the bit-identical item sequence -- proven by
-    ``tests/test_kernels_differential.py``.
+    Generation runs in :func:`repro.kernels.items.generate_items_vectorized`;
+    the second element is its :class:`~repro.kernels.items.ItemPlan` (the
+    (item, bin) edge arrays the incremental matching engine adopts), or
+    ``None`` when the cloudlet ids are not plain ints.  The scalar loop the
+    kernel replaced is kept in ``tests/reference/items.py`` as the
+    differential reference (``tests/test_kernels_differential.py``).
     """
     chain = request.chain
     if len(primary_placement) != chain.length:
@@ -266,93 +250,13 @@ def generate_items_with_plan(
             f"primary placement has {len(primary_placement)} entries "
             f"for a chain of length {chain.length}"
         )
-    config = config or ItemGenerationConfig()
+    # Deferred: repro.kernels.items imports this module.
+    from repro.kernels.items import generate_items_vectorized
 
-    hooks = _kernel_hooks()
-    if hooks[0]():
-        generated = hooks[1](
-            request, primary_placement, neighborhoods, residuals, config
-        )
-        if generated is not None:
-            return generated
-    return (
-        _generate_items_legacy(
-            request, primary_placement, neighborhoods, residuals, config
-        ),
-        None,
+    return generate_items_vectorized(
+        request, primary_placement, neighborhoods, residuals,
+        config or ItemGenerationConfig(),
     )
-
-
-_KERNEL_HOOKS: tuple | None = None
-
-
-def _kernel_hooks() -> tuple:
-    """``(kernels_enabled, generate_items_vectorized)``, imported once.
-
-    The import has to be deferred (``repro.kernels.items`` imports this
-    module) but must not be paid per generation call.
-    """
-    global _KERNEL_HOOKS
-    if _KERNEL_HOOKS is None:
-        from repro.kernels import kernels_enabled
-        from repro.kernels.items import generate_items_vectorized
-
-        _KERNEL_HOOKS = (kernels_enabled, generate_items_vectorized)
-    return _KERNEL_HOOKS
-
-
-def _generate_items_legacy(
-    request: Request,
-    primary_placement: Sequence[int],
-    neighborhoods: NeighborhoodIndex,
-    residuals: Mapping[int, float],
-    config: ItemGenerationConfig,
-) -> list[BackupItem]:
-    """The scalar generation loop (the kernel's differential reference)."""
-    chain = request.chain
-    # Gain still needed to lift the baseline (primaries-only) reliability to
-    # the expectation: (-log u_baseline) - (-log rho_j).
-    needed_gain = max(
-        0.0, -math.log(chain.primaries_reliability()) - request.budget
-    )
-
-    items: list[BackupItem] = []
-    for i, func in enumerate(chain):
-        v = primary_placement[i]
-        candidate_bins = tuple(
-            u
-            for u in neighborhoods.closed_cloudlets(v)
-            if residuals.get(u, 0.0) + 1e-9 >= func.demand
-        )
-        if not candidate_bins:
-            continue
-
-        k_max = capacity_bound_items(residuals, candidate_bins, func.demand)
-        if config.budget_headroom is not None and func.reliability < 1.0:
-            k_max = min(
-                k_max, _budget_cap(func.reliability, needed_gain, config.budget_headroom)
-            )
-        if config.max_backups_per_function is not None:
-            k_max = min(k_max, config.max_backups_per_function)
-
-        gains = gain_ladder(func.reliability, k_max)
-        costs = paper_cost_ladder(func.reliability, k_max)
-        for k in range(1, k_max + 1):
-            gain = gains[k - 1]
-            if config.gain_floor is not None and gain < config.gain_floor:
-                break  # gains are decreasing in k; nothing further survives
-            items.append(
-                BackupItem(
-                    position=i,
-                    k=k,
-                    function_name=func.name,
-                    demand=func.demand,
-                    gain=gain,
-                    cost=costs[k - 1],
-                    bins=candidate_bins,
-                )
-            )
-    return items
 
 
 def _budget_cap(r: float, needed_gain: float, headroom: float) -> int:

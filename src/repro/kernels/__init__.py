@@ -1,42 +1,26 @@
 """Array-native construction kernels.
 
-The modules below replace the pure-Python hot paths of instance
-construction and the matching pipeline with NumPy bulk operations, each
-**bit-identical** to the code it replaces (proven by
-``tests/test_kernels_differential.py`` and ``tests/test_kernels_csr.py``):
+The modules below implement the hot paths of instance construction and
+the matching pipeline with NumPy bulk operations:
 
 * :mod:`repro.kernels.csr` -- CSR adjacency + vectorized multi-source
   truncated BFS, serving ``N_l^+(v)`` masks to
-  :class:`repro.netmodel.neighborhoods.NeighborhoodIndex`;
+  :class:`repro.netmodel.neighborhoods.NeighborhoodIndex` (checked against
+  networkx by ``tests/test_kernels_csr.py``);
 * :mod:`repro.kernels.items` -- vectorized BMCGAP item generation
-  (candidate bins, ``K_i`` capacity counts, and Lemma 4.1 cost ladders);
+  (candidate bins, ``K_i`` capacity counts, and Lemma 4.1 cost ladders),
+  bit-identical to the scalar reference loop in ``tests/reference/items.py``
+  (``tests/test_kernels_differential.py``);
 * :mod:`repro.kernels.arena` -- per-thread reusable matrix buffers for
   :class:`repro.matching.incremental.RoundState` and the heuristic's
   padded assignment matrices.
 
-The kernels are on by default and wired transparently through
-``MECNetwork.neighborhoods``, ``AugmentationProblem.build``, and
-``MatchingHeuristic``; set the environment variable ``REPRO_KERNELS=0``
-(or pass the explicit ``kernel``/``kernels``/``use_arena`` arguments) to
-fall back to the legacy scalar paths, which are kept verbatim as the
-differential reference.  See ``docs/performance.md``.
+They are wired through ``MECNetwork.neighborhoods``,
+``AugmentationProblem.build`` and ``MatchingHeuristic``.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
-
-import os
-
-#: Environment kill switch: set to ``"0"`` to disable every kernel default.
-KERNELS_ENV = "REPRO_KERNELS"
-
-
-def kernels_enabled() -> bool:
-    """Whether the array-native kernels are enabled by default.
-
-    Reads ``REPRO_KERNELS`` at call time (not import time), so tests and
-    operators can flip the switch per process without re-importing.
-    """
-    return os.environ.get(KERNELS_ENV, "1") != "0"
 
 
 def clear_kernel_caches() -> None:
@@ -52,4 +36,4 @@ def clear_kernel_caches() -> None:
     items.clear_caches()
 
 
-__all__ = ["KERNELS_ENV", "kernels_enabled", "clear_kernel_caches"]
+__all__ = ["clear_kernel_caches"]

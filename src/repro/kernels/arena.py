@@ -10,8 +10,9 @@ thousands of times with essentially the same shapes.
 :class:`MatrixArena` is a pool of named, growable flat buffers that the
 round engine leases views of instead.  Leased buffers are always fully
 (re)initialised by their consumer before use, so reuse can never leak
-state between solves -- the differential suite asserts arena-on and
-arena-off solves are bit-identical.
+state between solves -- the differential suites assert arena-leased
+solves are bit-identical to the reference round loop in
+``tests/reference/rebuild.py``, which allocates fresh buffers.
 
 The warm-started matching backend
 (:class:`~repro.matching.warmstart.DualReusingSolver`) leases its state
@@ -19,10 +20,9 @@ from the same pool under the ``warm_*`` names: ``warm_u`` / ``warm_v`` /
 ``warm_vd`` hold the persistent LAP duals and ``warm_match_col4row`` /
 ``warm_match_row4col`` the persistent global matching of the delta
 re-solve engine (all sized by the global node/item spaces, so they
-survive every round of a solve), while ``warm_dist`` / ``warm_pred`` /
-``warm_scanned`` are the per-augmentation Dijkstra scratch.  The
-dual/matching buffers look like an exception to the "fully re-initialised
-before use" rule, but are not: the solver initialises them at
+survive every round of a solve).  The dual/matching buffers look like an
+exception to the "fully re-initialised before use" rule, but are not:
+the solver initialises them at
 construction and thereafter they are solver *state*, reused only within
 the one solve that owns the lease -- which is also why at most one live
 arena-backed warm solver may exist per arena.

@@ -1,9 +1,8 @@
 """CSR adjacency and vectorized truncated multi-source BFS.
 
-The legacy neighborhood path (:func:`repro.netmodel.neighborhoods.bfs_within`)
-walks the networkx adjacency dict-of-dicts with a deque, one BFS per source.
-That is pure-Python work proportional to the touched edge count *per
-source*, paid again for every primary of every request on a topology.
+A per-source deque BFS over the networkx adjacency dict-of-dicts is
+pure-Python work proportional to the touched edge count *per source*, paid
+again for every primary of every request on a topology.
 
 This module flattens the adjacency once per graph into CSR arrays
 (``indptr``/``indices``) and expands BFS frontiers for *many sources at
@@ -22,7 +21,7 @@ once* with NumPy boolean masks:
   pass would cost more than it saves there.
 
 Exactness: BFS hop distances are integers and the expansion is exhaustive,
-so the reach sets are *identical* (not approximately equal) to the deque
+so the reach sets are *identical* (not approximately equal) to a plain
 BFS -- ``tests/test_kernels_csr.py`` proves it against
 ``nx.single_source_shortest_path_length`` property-style.
 """
@@ -39,7 +38,7 @@ class NodeIndexing:
     """Dense index assignment for a graph's node ids.
 
     ``order[i]`` is the node id at index ``i`` (graph iteration order, the
-    same order every legacy consumer observes); ``index_of`` is its inverse.
+    same order every networkx consumer observes); ``index_of`` is its inverse.
     ``contiguous`` is True when ids are already ``0..n-1`` in order, which
     lets the builders below skip the id -> index dict lookups.
     """

@@ -1,10 +1,11 @@
 """Vectorized BMCGAP item generation (Section 4.2-4.3 reduction).
 
-The legacy generator (:func:`repro.core.items.generate_items`) walks every
-chain position in Python: a generator expression filters the candidate
-bins, :func:`capacity_bound_items` sums ``floor(C'_u / c(f_i))`` bin by
-bin, every ladder access copies a tuple slice, and one frozen-dataclass
-constructor call per item pays seven ``object.__setattr__`` round trips.
+The scalar generator this module replaced (kept as the differential
+reference in ``tests/reference/items.py``) walks every chain position in
+Python: a generator expression filters the candidate bins, a helper sums
+``floor(C'_u / c(f_i))`` bin by bin, every ladder access copies a tuple
+slice, and one frozen-dataclass constructor call per item pays seven
+``object.__setattr__`` round trips.
 
 This module strips the per-item constant factors:
 
@@ -15,7 +16,7 @@ This module strips the per-item constant factors:
   chain's primaries).  Generation reads the residuals of the primaries'
   neighborhoods only, so a map holding just the request's domain yields
   the same items -- ``tests/test_kernels_differential.py`` proves both
-  bit-identical to the legacy loop;
+  bit-identical to the scalar reference loop;
 * **ladders** -- full per-``r`` tuples memoized here and served without
   the per-call slice copies of :func:`paper_cost_ladder` /
   :func:`gain_ladder`; the *values* come from those very scalar
@@ -48,9 +49,10 @@ from repro.core.items import (
     gain_ladder,
     paper_cost_ladder,
 )
+from repro.util.errors import ValidationError
 
-#: Fit/positivity slack, identical to the scalar path's literal ``1e-9``
-#: (see ``repro.core.items``; the ledger's ``EPS`` has the same value).
+#: Fit/positivity slack, identical to the scalar reference's literal
+#: ``1e-9`` (the ledger's ``EPS`` has the same value).
 _SLACK = 1e-9
 
 
@@ -197,22 +199,23 @@ def generate_items_vectorized(
     neighborhoods,
     residuals: Mapping[int, float],
     config: ItemGenerationConfig,
-) -> tuple[list[BackupItem], ItemPlan | None] | None:
+) -> tuple[list[BackupItem], ItemPlan | None]:
     """Array-native :func:`repro.core.items.generate_items`.
 
-    Returns ``(items, plan)`` with ``items`` the bit-identical
-    ``BackupItem`` list of the legacy loop and ``plan`` the lazily
-    flattened edge universe (``None`` when node ids are not integers), or
-    ``None`` when this index cannot serve the batch interface (legacy
-    engine, or built without cloudlets) -- the caller then falls back to
-    the scalar path.  ``residuals`` needs only the cloudlets of the
-    primaries' neighborhoods; absent ones count as empty.
+    Returns ``(items, plan)`` with ``items`` the ``BackupItem`` list and
+    ``plan`` the lazily flattened edge universe (``None`` when cloudlet ids
+    are not plain ints).  ``residuals`` needs only the cloudlets of the
+    primaries' neighborhoods; absent ones count as empty.  Raises
+    ``KeyError`` for an index built without cloudlets and
+    :class:`~repro.util.errors.ValidationError` for a non-positive demand.
     """
     integer_ids = neighborhoods.integer_cloudlet_ids
     if integer_ids is None:
-        return None
+        raise KeyError(
+            "no cloudlet-restricted neighborhoods; was the index built with cloudlets?"
+        )
     # Gain still needed to lift the baseline reliability to the expectation
-    # (identical expression to the scalar path).
+    # (identical expression to the scalar reference).
     needed_gain = max(
         0.0, -math.log(request.chain.primaries_reliability()) - request.budget
     )
@@ -235,9 +238,7 @@ def generate_items_vectorized(
     for i, func in enumerate(request.chain):
         demand = func.demand
         if demand <= 0.0:
-            # Legacy path raises ValidationError (via capacity_bound_items)
-            # for non-positive demands; defer to it.
-            return None
+            raise ValidationError(f"demand must be > 0, got {demand}")
         v = primary_placement[i]
         neighborhood_bins = cached_bins(v)
         if neighborhood_bins is None:
@@ -249,7 +250,7 @@ def generate_items_vectorized(
             res = get(u, 0.0)
             slack = res + _SLACK
             if slack >= demand:
-                # Same fit test as the scalar path; the count floor((C'_u
+                # Same fit test as the scalar reference; the count floor((C'_u
                 # + 1e-9) / c(f_i)) applies only to positive residuals.
                 bins_list.append(u)
                 if res > 0.0:
@@ -271,7 +272,7 @@ def generate_items_vectorized(
         keep = k_max
         if floor is not None:
             # First k with gain below the floor ends the prefix -- gains
-            # decrease in k, mirroring the scalar loop's ``break``.
+            # decrease in k, mirroring the scalar reference's ``break``.
             for j in range(k_max):
                 if gains[j] < floor:
                     keep = j
@@ -308,7 +309,6 @@ def clear_caches() -> None:
     The ladder tuple memos deliberately survive: they are value-level
     tables (bit-identical to the scalar ladders by construction) with the
     same process lifetime as ``repro.core.items``' own ladder memo, so
-    clearing them here would only skew engine comparisons, not make
-    anything "colder" in a way the scalar path experiences.
+    clearing them here would not make construction any colder.
     """
     _PLANS.clear()

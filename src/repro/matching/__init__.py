@@ -4,14 +4,11 @@ Algorithm 2 repeatedly solves *minimum-cost maximum matching* on bipartite
 graphs between cloudlets and remaining BMCGAP items.  This subpackage
 provides:
 
-* :func:`~repro.matching.hungarian.solve_assignment` -- a from-scratch
-  Hungarian algorithm (Jonker-Volgenant shortest-augmenting-path variant
-  with dual potentials, O(n^3)), the solver the paper names;
 * :func:`~repro.matching.mincost.min_cost_max_matching` -- the wrapper that
   reduces min-cost *maximum* matching with forbidden edges to a padded
-  square assignment problem, solvable by either the from-scratch solver or
-  :func:`scipy.optimize.linear_sum_assignment` (the differential reference
-  backends, cross-validated in the test suite);
+  square assignment problem solved by
+  :func:`scipy.optimize.linear_sum_assignment` (the ``"scipy"`` backend,
+  the Hungarian-method solver the paper names);
 * :func:`~repro.matching.mincost.min_cost_max_matching_arrays` -- the
   array-based entry point used by the incremental engine, with a reusable
   :class:`~repro.matching.mincost.MatchingWorkspace` matrix buffer;
@@ -30,9 +27,8 @@ provides:
   :meth:`~repro.matching.warmstart.DualReusingSolver.restore`),
   with :class:`~repro.matching.warmstart.WarmStats` counters, a
   :class:`~repro.matching.warmstart.UniverseIndex` CSR presort, and the
-  ``REPRO_WARM_SWEEP`` / ``REPRO_WARM_DELTA`` switches
-  (:func:`~repro.matching.warmstart.sweep_mode`,
-  :func:`~repro.matching.warmstart.warm_delta_enabled`);
+  ``REPRO_WARM_DELTA`` switch
+  (:func:`~repro.matching.warmstart.warm_delta_enabled`);
 * :class:`~repro.matching.incremental.RoundState` -- the incremental round
   engine for Algorithm 2's hot path: static edge universe, delta-maintained
   residuals, bit-identical to rebuilding ``G_l`` from scratch every round;
@@ -42,7 +38,6 @@ Backend selection (``"auto"``, the ``REPRO_MATCHING`` env switch, and the
 dense/sparse cutoff) lives in :mod:`repro.matching.mincost`.
 """
 
-from repro.matching.hungarian import solve_assignment
 from repro.matching.incremental import RoundState, warm_solver_for
 from repro.matching.mincost import (
     BACKENDS,
@@ -61,7 +56,6 @@ from repro.matching.warmstart import (
     DualReusingSolver,
     UniverseIndex,
     WarmStats,
-    sweep_mode,
     warm_delta_enabled,
     warm_min_cost_max_matching,
 )
@@ -79,9 +73,7 @@ __all__ = [
     "min_cost_max_matching_arrays",
     "resolve_backend",
     "select_backend",
-    "solve_assignment",
     "sparse_min_cost_max_matching",
-    "sweep_mode",
     "UniverseIndex",
     "warm_delta_enabled",
     "warm_min_cost_max_matching",

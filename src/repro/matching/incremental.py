@@ -1,12 +1,12 @@
 """Incremental round engine for Algorithm 2's hot path.
 
-The full-rebuild path of :class:`repro.algorithms.heuristic.MatchingHeuristic`
-reconstructs the bipartite graph ``G_l`` from scratch every round: it
-re-enumerates the positive-residual cloudlets, re-tests ``C'_u >= c(f_i)``
-for every (item, bin) pair through per-pair ledger calls, re-derives every
-edge cost, and re-allocates the padded ``(n+m) x (n+m)`` assignment matrix
--- even though one round changes only a handful of residuals and removes a
-handful of items.
+Algorithm 2's full-rebuild round loop (kept as the differential reference
+in ``tests/reference/rebuild.py``) reconstructs the bipartite graph ``G_l``
+from scratch every round: it re-enumerates the positive-residual
+cloudlets, re-tests ``C'_u >= c(f_i)`` for every (item, bin) pair through
+per-pair ledger calls, re-derives every edge cost, and re-allocates the
+padded ``(n+m) x (n+m)`` assignment matrix -- even though one round
+changes only a handful of residuals and removes a handful of items.
 
 :class:`RoundState` maintains ``G_l`` across rounds by applying deltas
 instead:
@@ -175,8 +175,8 @@ def warm_solver_for(
 ) -> DualReusingSolver:
     """A :class:`DualReusingSolver` sized for one solve's global id spaces.
 
-    Both round engines construct their solver through this factory so the
-    dual vectors (keyed by global cloudlet id / item index) and the constant
+    The single-problem round engine and the rebuild reference loop
+    construct their solver through this factory so the dual vectors (keyed by global cloudlet id / item index) and the constant
     dummy cost ``B`` (from the shared statics' universe cost sum) are
     identical -- a precondition for the engines' bit-identical solves under
     the ``"warm"`` backend.  The solver also carries the problem's memoized

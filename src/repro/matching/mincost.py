@@ -23,8 +23,6 @@ Backends (``BACKENDS``):
 
 * ``"scipy"`` -- the dense padded reduction above, solved by
   :func:`scipy.optimize.linear_sum_assignment` (the differential baseline);
-* ``"own"`` -- the same reduction solved by the from-scratch JV solver of
-  :mod:`repro.matching.hungarian`;
 * ``"sparse"`` -- :mod:`repro.matching.sparse`: CSR + dummy columns on the
   real edge set only, via ``scipy.sparse.csgraph``;
 * ``"warm"`` -- :mod:`repro.matching.warmstart`: a sparse JV solver whose
@@ -35,9 +33,8 @@ Backends (``BACKENDS``):
 measured crossover on heuristic-shaped graphs (mirroring the dual-strategy
 pattern of :mod:`repro.kernels.items`).  The ``REPRO_MATCHING`` environment
 variable (``MATCHING_ENV``) overrides the default for every solve that does
-not pass an explicit backend: ``dense`` (alias for ``scipy``), ``own``,
-``sparse``, ``warm``, or ``auto`` -- the kill switch back to the verbatim
-dense reference paths.  All backends return identical matching cardinality
+not pass an explicit backend: ``dense`` (alias for ``scipy``), ``sparse``,
+``warm``, or ``auto``.  All backends return identical matching cardinality
 and total cost (tests assert it); pairings may permute within equal-cost
 matchings.
 """
@@ -52,12 +49,11 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.matching.hungarian import solve_assignment
 from repro.matching.sparse import sparse_min_cost_max_matching
 from repro.matching.warmstart import warm_min_cost_max_matching
 from repro.util.errors import ValidationError
 
-BACKENDS = ("scipy", "own", "sparse", "warm")
+BACKENDS = ("scipy", "sparse", "warm")
 
 #: Environment variable overriding the default backend ("auto" when unset).
 MATCHING_ENV = "REPRO_MATCHING"
@@ -208,20 +204,14 @@ def min_cost_max_matching(
             for r, c, cost in solve(n_rows, n_cols, rows_a, cols_a, costs_a)
         ]
 
-    matrix, big = _padded_matrix(n_rows, n_cols, edges)
-    if backend == "scipy":
-        rows, cols = linear_sum_assignment(matrix)
-        pairs = zip(rows.tolist(), cols.tolist())
-    else:
-        assignment, _ = solve_assignment(matrix)
-        pairs = ((i, int(j)) for i, j in enumerate(assignment))
-
-    matched: list[MatchEdge] = []
-    for r, c in pairs:
-        if r < n_rows and c < n_cols and (r, c) in edges:
-            matched.append(MatchEdge(r, c, edges[(r, c)]))
-    matched.sort(key=lambda e: e.row)
-    return matched
+    matrix, _ = _padded_matrix(n_rows, n_cols, edges)
+    rows, cols = linear_sum_assignment(matrix)
+    # scipy returns rows ascending, so the result is already sorted by row.
+    return [
+        MatchEdge(r, c, edges[(r, c)])
+        for r, c in zip(rows.tolist(), cols.tolist())
+        if r < n_rows and c < n_cols and (r, c) in edges
+    ]
 
 
 def matching_cardinality_and_cost(matching: list[MatchEdge]) -> tuple[int, float]:
@@ -319,29 +309,18 @@ def min_cost_max_matching_arrays(
     matrix[n_rows:, n_cols:] = 0.0
     matrix[edge_rows, edge_cols] = edge_costs
 
-    if backend == "scipy":
-        rows, cols = linear_sum_assignment(matrix)
-        # Vectorised decode: keep real-block cells holding a true edge cost
-        # (a real cell equals ``big`` iff it is not an edge, since every edge
-        # cost is strictly below ``big``).  scipy returns rows ascending, so
-        # the result is already sorted by row.
-        real = (rows < n_rows) & (cols < n_cols)
-        rr, cc = rows[real], cols[real]
-        costs = matrix[rr, cc]
-        edge = costs < big
-        return [
-            MatchEdge(r, c, cost)
-            for r, c, cost in zip(
-                rr[edge].tolist(), cc[edge].tolist(), costs[edge].tolist()
-            )
-        ]
-
-    assignment, _ = solve_assignment(matrix)
-    matched: list[MatchEdge] = []
-    for r, c in enumerate(assignment):
-        if r < n_rows and c < n_cols:
-            cost = float(matrix[r, int(c)])
-            if cost < big:
-                matched.append(MatchEdge(r, int(c), cost))
-    matched.sort(key=lambda e: e.row)
-    return matched
+    rows, cols = linear_sum_assignment(matrix)
+    # Vectorised decode: keep real-block cells holding a true edge cost
+    # (a real cell equals ``big`` iff it is not an edge, since every edge
+    # cost is strictly below ``big``).  scipy returns rows ascending, so
+    # the result is already sorted by row.
+    real = (rows < n_rows) & (cols < n_cols)
+    rr, cc = rows[real], cols[real]
+    costs = matrix[rr, cc]
+    edge = costs < big
+    return [
+        MatchEdge(r, c, cost)
+        for r, c, cost in zip(
+            rr[edge].tolist(), cc[edge].tolist(), costs[edge].tolist()
+        )
+    ]

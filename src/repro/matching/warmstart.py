@@ -8,9 +8,8 @@ matched items leave the right side, and cloudlets whose residual crossed a
 everything it learned about the cost geometry; this module keeps it.
 
 :class:`DualReusingSolver` is a successive-shortest-augmenting-path solver
-(Jonker-Volgenant style, like :mod:`repro.matching.hungarian` -- but on the
-CSR edge set instead of a padded dense matrix) with two layers of
-cross-round state:
+(Jonker-Volgenant style, on the CSR edge set instead of a padded dense
+matrix) with two layers of cross-round state:
 
 * **Persistent duals** -- ``u`` is keyed by **global cloudlet id** and
   ``v`` by **global item index**, so the round-local row/column compaction
@@ -50,30 +49,28 @@ cross-round state:
   therefore holds for **arbitrary** round sequences, not just
   Algorithm 2's shrink-only ones.
 
-Two sweep engines drive the augmentation (``REPRO_WARM_SWEEP``):
+The sweep that augments the orphans runs a vectorised *prepass* computing
+every orphan row's cheapest reduced-cost column in one shot; a row whose
+cached candidate is still clean (no popped column's ``v`` changed
+underneath it -- ``v`` only ever falls, so other candidates can only have
+got *worse*) and still free is matched in O(1) -- the "dual-tightness
+hit".  Rows that miss run a full Dijkstra whose frontier is a
+lazy-deletion binary heap, so a pop costs ``O(log f)`` instead of the
+``O(width)`` full-array ``argmin`` of the original sweep.
 
-* ``"heap"`` (default): a vectorised *prepass* computes every orphan row's
-  cheapest reduced-cost column in one shot; a row whose cached candidate
-  is still clean (no popped column's ``v`` changed underneath it -- ``v``
-  only ever falls, so other candidates can only have got *worse*) and
-  still free is matched in O(1) -- the "dual-tightness hit".  Rows that
-  miss run a full Dijkstra whose frontier is a lazy-deletion binary
-  heap, so a pop costs ``O(log f)`` instead of the old ``O(width)``
-  full-array ``argmin``.
-* ``"scan"``: the original full-array ``argmin`` sweep, kept verbatim
-  (apart from a pop counter) as the differential reference.
+The heap sweep is bit-identical to that original ``argmin`` scan, which
+``tests/reference/scan.py`` keeps as the differential reference: the
+heap's estimates are the exact floats the scan computes (same ``offset +
+((cost - u_i) - v_j)`` associativity), heap ties order by ``(value,
+column)`` which reproduces ``argmin``'s first-index rule, and pushes
+mirror the scan's strict-``<`` relaxation so the popped entry's
+predecessor is always the scan's.  ``tests/test_matching_warm_delta.py``
+asserts the equivalence pair-for-pair on random round sequences, tied
+costs included.
 
-The two engines are bit-identical by construction: the heap's estimates
-are the exact floats the scan computes (same ``offset + ((cost - u_i) -
-v_j)`` associativity), heap ties order by ``(value, column)`` which
-reproduces ``argmin``'s first-index rule, and pushes mirror the scan's
-strict-``<`` relaxation so the popped entry's predecessor is always the
-scan's.  ``tests/test_matching_warm_delta.py`` asserts the equivalence
-pair-for-pair on random round sequences.
-
-Scratch vectors and both persistent layers are leased from the per-thread
-:class:`repro.kernels.arena.MatrixArena` when one is supplied (``warm_*``
-for duals and Dijkstra scratch, ``warm_match_*`` for the persistent
+Both persistent layers and the round-local scratch are leased from the
+per-thread :class:`repro.kernels.arena.MatrixArena` when one is supplied
+(``warm_*`` for duals, ``warm_match_*`` for the persistent
 matching, round-local pairing, universe mask and index maps), so a request
 stream re-solves thousands of rounds without re-allocating; every leased
 element is (re)initialised before use, so arena solves are bit-identical
@@ -112,30 +109,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: column" (distinct from -1, "not matched in any prior round / orphaned").
 DUMMY = -2
 
-#: Sweep engine switch: ``"heap"`` (default) or ``"scan"`` (the verbatim
-#: full-array argmin reference).
-WARM_SWEEP_ENV = "REPRO_WARM_SWEEP"
-
 #: Delta-path switch for the round engines: ``"0"`` forces cold per-round
 #: solves through :meth:`DualReusingSolver.solve_round`; anything else (or
 #: unset) lets them call :meth:`DualReusingSolver.solve_round_delta`.
 WARM_DELTA_ENV = "REPRO_WARM_DELTA"
-
-_SWEEP_MODES = ("heap", "scan")
-
-
-def sweep_mode() -> str:
-    """The active sweep engine, from ``REPRO_WARM_SWEEP`` (default ``"heap"``)."""
-    raw = os.environ.get(WARM_SWEEP_ENV)
-    if raw is None or not raw.strip():
-        return "heap"
-    mode = raw.strip().lower()
-    if mode not in _SWEEP_MODES:
-        raise ValidationError(
-            f"unknown {WARM_SWEEP_ENV} value {raw!r}; choose one of {_SWEEP_MODES}"
-        )
-    return mode
-
 
 def warm_delta_enabled() -> bool:
     """Whether the round engines should use the delta re-solve path.
@@ -155,8 +132,8 @@ class WarmStats:
     ``rows_kept`` + ``rows_reaugmented`` = ``rows_total``, and re-augmented
     rows split into ``quick_matches`` (the prepass matched them in O(1)
     because their cached cheapest column was still tight and free) and rows
-    that ran a full Dijkstra (``heap_pops``/``scan_pops`` count its column
-    pops, the unit of sweep work).
+    that ran a full Dijkstra (``heap_pops`` counts its column pops, the
+    unit of sweep work).
     """
 
     __slots__ = (
@@ -167,7 +144,6 @@ class WarmStats:
         "rows_reaugmented",
         "quick_matches",
         "heap_pops",
-        "scan_pops",
         "dual_repairs",
     )
 
@@ -183,7 +159,6 @@ class WarmStats:
         self.rows_reaugmented = 0
         self.quick_matches = 0
         self.heap_pops = 0
-        self.scan_pops = 0
         self.dual_repairs = 0
 
     @property
@@ -203,7 +178,6 @@ class WarmStats:
             "rows_reaugmented": self.rows_reaugmented,
             "quick_matches": self.quick_matches,
             "heap_pops": self.heap_pops,
-            "scan_pops": self.scan_pops,
             "dual_repairs": self.dual_repairs,
             "tightness_hit_rate": self.tightness_hit_rate,
         }
@@ -316,9 +290,6 @@ class DualReusingSolver:
         "_u",
         "_v",
         "_vd",
-        "_dist",
-        "_pred",
-        "_scanned",
         "_arena",
         "_universe",
         "_node_space",
@@ -363,23 +334,16 @@ class DualReusingSolver:
         self._node_space = node_space
         self._item_space = item_space
         self.stats = WarmStats()
-        width = item_space + node_space  # real columns then one dummy per row id
         if arena is not None:
             self._u = arena.take("warm_u", node_space, np.float64)
             self._v = arena.take("warm_v", item_space, np.float64)
             self._vd = arena.take("warm_vd", node_space, np.float64)
-            self._dist = arena.take("warm_dist", width, np.float64)
-            self._pred = arena.take("warm_pred", width, np.intp)
-            self._scanned = arena.take("warm_scanned", width, bool)
             self._g_col4row = arena.take("warm_match_col4row", node_space, np.intp)
             self._g_row4col = arena.take("warm_match_row4col", item_space, np.intp)
         else:
             self._u = np.empty(node_space, dtype=np.float64)
             self._v = np.empty(item_space, dtype=np.float64)
             self._vd = np.empty(node_space, dtype=np.float64)
-            self._dist = np.empty(width, dtype=np.float64)
-            self._pred = np.empty(width, dtype=np.intp)
-            self._scanned = np.empty(width, dtype=bool)
             self._g_col4row = np.empty(node_space, dtype=np.intp)
             self._g_row4col = np.empty(item_space, dtype=np.intp)
         self._u[:] = 0.0
@@ -1013,115 +977,19 @@ class DualReusingSolver:
         self._g_row4col[:] = r4c
         self._g_col4row[:] = c4r
 
-    # -- sweep engines --------------------------------------------------------
+    # -- sweep ----------------------------------------------------------------
     def _sweep(
-        self, orphans, n, m, u, v_local,
-        csr_erow, csr_cols, csr_costs, indptr, row4col, col4row,
-    ) -> None:
-        if not orphans:
-            return
-        if sweep_mode() == "scan":
-            self._sweep_scan(
-                orphans, n, m, u, v_local, csr_cols, csr_costs, indptr,
-                row4col, col4row,
-            )
-        else:
-            self._sweep_heap(
-                orphans, n, m, u, v_local, csr_erow, csr_cols, csr_costs,
-                indptr, row4col, col4row,
-            )
-
-    def _sweep_scan(
-        self, orphans, n, m, u, v_local, csr_cols, csr_costs, indptr,
-        row4col, col4row,
-    ) -> None:
-        """The original full-array ``argmin`` sweep -- the differential
-        reference, verbatim apart from iterating ``orphans`` (which is
-        ``range(n)`` on cold solves) and counting pops."""
-        big = self._big
-        width = m + n
-        dist = self._dist[:width]
-        pred = self._pred[:width]
-        scanned = self._scanned[:width]
-        INF = np.inf
-        pops = 0
-        popped_cols: list[int] = []
-        popped_dist: list[float] = []
-        for cur_row in orphans:
-            dist.fill(INF)
-            pred.fill(-1)
-            scanned.fill(False)
-            popped_cols.clear()
-            popped_dist.clear()
-            i = cur_row
-            offset = 0.0
-            while True:
-                # Relax row i's real edges (vectorised over its CSR slice)
-                # and its private dummy edge.  Strict ``<`` keeps the first
-                # (lowest-offset) predecessor on ties.
-                lo, hi = indptr[i], indptr[i + 1]
-                if hi > lo:
-                    nbr = csr_cols[lo:hi]
-                    cand = offset + (csr_costs[lo:hi] - u[i] - v_local[nbr])
-                    better = ~scanned[nbr] & (cand < dist[nbr])
-                    improved = nbr[better]
-                    dist[improved] = cand[better]
-                    pred[improved] = i
-                dummy = m + i
-                if not scanned[dummy]:
-                    cand_d = offset + (big - u[i] - v_local[dummy])
-                    if cand_d < dist[dummy]:
-                        dist[dummy] = cand_d
-                        pred[dummy] = i
-                # Pop the closest unscanned column; popped entries are reset
-                # to inf in `dist` (their true distance lives in popped_dist)
-                # so the argmin needs no per-pop masking copy.  argmin's
-                # first-index rule makes ties deterministic (real columns
-                # sit before dummy columns in the local layout).
-                j = int(np.argmin(dist))
-                closest = float(dist[j])
-                if closest == INF:  # pragma: no cover - dummy edges guarantee progress
-                    raise ValidationError("augmentation stalled (no reachable column)")
-                pops += 1
-                scanned[j] = True
-                dist[j] = INF
-                if row4col[j] < 0:
-                    sink, minval = j, closest
-                    break
-                popped_cols.append(j)
-                popped_dist.append(closest)
-                i = int(row4col[j])
-                offset = closest
-
-            # Dual update: scanned columns (and their matched rows) shift by
-            # their distance shortfall; the inserted row absorbs the full
-            # path length.  Matched edges stay tight, feasibility is kept.
-            if popped_cols:
-                sel = np.asarray(popped_cols, dtype=np.intp)
-                delta = minval - np.asarray(popped_dist)
-                v_local[sel] -= delta
-                u[row4col[sel]] += delta
-            u[cur_row] += minval
-
-            # Augment: flip the alternating path back to the inserted row.
-            j = sink
-            while True:
-                i = int(pred[j])
-                row4col[j] = i
-                col4row[i], j = j, col4row[i]
-                if i == cur_row:
-                    break
-        self.stats.scan_pops += pops
-
-    def _sweep_heap(
         self, orphans, n, m, u, v_local, csr_erow, csr_cols, csr_costs,
         indptr, row4col, col4row,
     ) -> None:
         """Prepass quick-matching + lazy-deletion heap Dijkstra.
 
-        Bit-identical to :meth:`_sweep_scan` (same floats, same tie-breaks,
-        same dual updates); only the work per augmentation differs.
+        Bit-identical to the reference ``argmin`` scan (same floats, same
+        tie-breaks, same dual updates); only the work per augmentation
+        differs.
         """
+        if not orphans:
+            return
         stats = self.stats
         big = self._big
         width = m + n
@@ -1423,9 +1291,7 @@ __all__ = [
     "DualReusingSolver",
     "UniverseIndex",
     "WARM_DELTA_ENV",
-    "WARM_SWEEP_ENV",
     "WarmStats",
-    "sweep_mode",
     "warm_delta_enabled",
     "warm_min_cost_max_matching",
 ]

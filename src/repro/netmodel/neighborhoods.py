@@ -18,53 +18,21 @@ computed (the index itself is cached per radius by
 simply uses ``radius = |V| - 1``, which reaches the whole (connected)
 graph.
 
-Two engines serve the sets (identical results; ``tests/test_kernels_csr.py``
-proves it property-style against networkx):
-
-* the array-native :class:`repro.kernels.csr.NeighborhoodKernel` (default;
-  CSR adjacency + vectorized multi-source frontier expansion, shared per
-  ``(graph, radius)`` so every index over one topology reuses the BFS
-  work), selected whenever :func:`repro.kernels.kernels_enabled` is true;
-* the legacy per-source deque BFS (:func:`bfs_within`), kept verbatim as
-  the differential reference and selected by ``REPRO_KERNELS=0``.
+The sets come from the array-native
+:class:`repro.kernels.csr.NeighborhoodKernel` (CSR adjacency + vectorized
+multi-source frontier expansion, shared per ``(graph, radius)`` so every
+index over one topology reuses the BFS work); ``tests/test_kernels_csr.py``
+checks it against networkx's ``single_source_shortest_path_length``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 import numpy as np
 
-from repro.kernels import kernels_enabled
 from repro.kernels.csr import NeighborhoodKernel, neighborhood_kernel
-
-
-def bfs_within(graph: nx.Graph, source: int, radius: int) -> dict[int, int]:
-    """Hop distances from ``source`` to every node within ``radius`` hops.
-
-    A plain deque-based truncated BFS; returns ``{node: distance}`` including
-    ``source`` itself at distance 0.  ``radius`` must be ``>= 0`` -- a
-    negative radius is always a caller bug (it used to fall through to an
-    *untruncated* BFS because no level could ever equal it).
-    """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    dist = {source: 0}
-    if radius == 0:
-        return dist
-    queue: deque[int] = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == radius:
-            continue
-        for w in graph.neighbors(u):
-            if w not in dist:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
 
 
 class NeighborhoodIndex:
@@ -76,8 +44,7 @@ class NeighborhoodIndex:
     lookup afterwards, and an index shared across a batch of requests
     accumulates exactly the sets the batch touches.  :meth:`prefetch`
     additionally lets a caller batch the BFS of many sources into one
-    vectorized frontier expansion (kernel engine only; a no-op warm-up
-    loop on the legacy engine).
+    vectorized frontier expansion.
 
     Parameters
     ----------
@@ -89,11 +56,6 @@ class NeighborhoodIndex:
         Optional iterable of cloudlet node ids; when given, the index can
         also serve the cloudlet-restricted neighbor lists used for
         secondary placement.
-    kernel:
-        Explicit :class:`NeighborhoodKernel` to serve reach masks from.
-        Defaults to the memoized per-``(graph, radius)`` kernel when the
-        array kernels are enabled, and to ``None`` (legacy deque BFS)
-        otherwise.
     """
 
     def __init__(
@@ -101,7 +63,6 @@ class NeighborhoodIndex:
         graph: nx.Graph,
         radius: int,
         cloudlets: Iterable[int] | None = None,
-        kernel: NeighborhoodKernel | None = None,
     ):
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
@@ -111,15 +72,13 @@ class NeighborhoodIndex:
         self._cloudlet_set = set(cloudlets) if cloudlets is not None else None
         self._closed: dict[int, frozenset[int]] = {}
         self._closed_cloudlets: dict[int, tuple[int, ...]] = {}
-        # The engine choice is made here (env read once, deterministic for
-        # the index lifetime), but the kernel *object* is only created on
-        # first mask access: the radius <= 1 accessors run straight off the
-        # adjacency dict and never need it.
-        self._kernel = kernel
-        self._kernel_pending = kernel is None and kernels_enabled()
-        # Sorted cloudlet ids for the kernel engine; the id / node-index
-        # *arrays* behind closed_cloudlets' masked gather are built lazily
-        # -- at radius <= 1 it never touches them.
+        # The shared kernel is only fetched on first mask access: the
+        # radius <= 1 accessors run straight off the adjacency dict and
+        # never need it.
+        self._kernel: NeighborhoodKernel | None = None
+        # Sorted cloudlet ids; the id / node-index *arrays* behind
+        # closed_cloudlets' masked gather are built lazily -- at radius <= 1
+        # it never touches them.
         self._cl_list: list[int] | None = None
         self._cl_ids: np.ndarray | None = None
         self._cl_pos: np.ndarray | None = None
@@ -128,18 +87,16 @@ class NeighborhoodIndex:
         # access and routes membership through __getitem__; the underlying
         # dict is stable here because MECNetwork freezes its graph.
         self._adj: dict = graph._adj
-        if (
-            kernel is not None or self._kernel_pending
-        ) and self._cloudlet_set is not None:
+        if self._cloudlet_set is not None:
             adj = self._adj
             self._cl_list = sorted(v for v in self._cloudlet_set if v in adj)
 
-    def _resolve_kernel(self) -> NeighborhoodKernel | None:
-        """The serving kernel, created on first need (``None`` = legacy)."""
-        if self._kernel_pending:
-            self._kernel_pending = False
-            self._kernel = neighborhood_kernel(self._graph, self._radius)
-        return self._kernel
+    def _resolve_kernel(self) -> NeighborhoodKernel:
+        """The serving kernel, fetched on first need."""
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = neighborhood_kernel(self._graph, self._radius)
+        return kernel
 
     @property
     def _nodes(self) -> set[int]:
@@ -149,9 +106,9 @@ class NeighborhoodIndex:
             nodes = self._nodes_cache = set(self._graph.nodes)
         return nodes
 
-    def _cl_positions(self) -> np.ndarray | None:
+    def _cl_positions(self) -> np.ndarray:
         """Node-index positions of the sorted cloudlet ids (lazy)."""
-        if self._cl_pos is None and self._cl_list is not None:
+        if self._cl_pos is None:
             ids = self._cl_list
             index_of = self._resolve_kernel().index_of
             self._cl_ids = np.asarray(ids)
@@ -165,27 +122,17 @@ class NeighborhoodIndex:
         """The radius ``l`` this index was built for."""
         return self._radius
 
-    @property
-    def kernel(self) -> NeighborhoodKernel | None:
-        """The array kernel serving this index (``None`` = legacy BFS)."""
-        return self._resolve_kernel()
-
     def closed(self, v: int) -> frozenset[int]:
         """``N_l^+(v)`` -- nodes within ``l`` hops of ``v``, including ``v``."""
         closed = self._closed.get(v)
         if closed is None:
             kernel = self._resolve_kernel()
-            if kernel is not None:
-                reached = np.nonzero(kernel.mask(v))[0].tolist()
-                if kernel.contiguous:
-                    closed = frozenset(reached)
-                else:
-                    order = kernel.order
-                    closed = frozenset(order[i] for i in reached)
+            reached = np.nonzero(kernel.mask(v))[0].tolist()
+            if kernel.contiguous:
+                closed = frozenset(reached)
             else:
-                if v not in self._nodes:
-                    raise KeyError(f"unknown node {v!r}")
-                closed = frozenset(bfs_within(self._graph, v, self._radius))
+                order = kernel.order
+                closed = frozenset(order[i] for i in reached)
             self._closed[v] = closed
         return closed
 
@@ -195,8 +142,8 @@ class NeighborhoodIndex:
 
     def closed_cloudlets(self, v: int) -> tuple[int, ...]:
         """Cloudlets in ``N_l^+(v)`` -- the candidate bins for secondaries of a
-        primary placed at ``v``.  Requires the index to have been built with
-        a ``cloudlets`` argument."""
+        primary placed at ``v``, sorted.  Requires the index to have been
+        built with a ``cloudlets`` argument."""
         bins = self._closed_cloudlets.get(v)
         if bins is None:
             if self._cloudlet_set is None:
@@ -204,11 +151,10 @@ class NeighborhoodIndex:
                     f"no cloudlet-restricted neighborhood for node {v!r}; "
                     "was the index built with cloudlets?"
                 )
-            if self._cl_list is not None and self._radius <= 1:
+            if self._radius <= 1:
                 # radius <= 1 fast path: N_1^+(v) = {v} | adj(v) straight
                 # off the adjacency dict -- no BFS, no mask.  _cl_list is
-                # sorted, so the filtered tuple is already in the legacy
-                # (sorted) order.
+                # sorted, so the filtered tuple is already sorted.
                 adj_v = self._adj.get(v)
                 if adj_v is None:
                     raise KeyError(f"unknown node {v!r}")
@@ -218,24 +164,18 @@ class NeighborhoodIndex:
                     bins = tuple(
                         u for u in self._cl_list if u == v or u in adj_v
                     )
-            elif self._cl_list is not None:
-                # ids are pre-sorted, so the masked gather is already the
-                # sorted tuple the legacy path produces.
-                cl_pos = self._cl_positions()  # also materialises _cl_ids
-                mask = self._kernel.mask(v)
-                bins = tuple(self._cl_ids[mask[cl_pos]].tolist())
             else:
-                cloudlet_set = self._cloudlet_set
-                bins = tuple(
-                    sorted(u for u in self.closed(v) if u in cloudlet_set)
-                )
+                # ids are pre-sorted, so the masked gather is already sorted.
+                cl_pos = self._cl_positions()  # also materialises _cl_ids
+                mask = self._resolve_kernel().mask(v)
+                bins = tuple(self._cl_ids[mask[cl_pos]].tolist())
             self._closed_cloudlets[v] = bins
         return bins
 
     def contains(self, v: int, u: int) -> bool:
         """Whether ``u ∈ N_l^+(v)``."""
-        kernel = self._resolve_kernel()
-        if kernel is not None and v not in self._closed:
+        if v not in self._closed:
+            kernel = self._resolve_kernel()
             mask = kernel.mask(v)  # raises KeyError for unknown v
             iu = kernel.index_of.get(u)
             return False if iu is None else bool(mask[iu])
@@ -244,9 +184,8 @@ class NeighborhoodIndex:
     def degree(self, v: int) -> int:
         """``d_v = |N_l(v)|`` -- the neighborhood size used in the paper's
         complexity bounds (``d_min``/``d_max``)."""
-        kernel = self._resolve_kernel()
-        if kernel is not None and v not in self._closed:
-            return int(kernel.mask(v).sum()) - 1
+        if v not in self._closed:
+            return int(self._resolve_kernel().mask(v).sum()) - 1
         return len(self.closed(v)) - 1
 
     def degree_bounds(self) -> tuple[int, int]:
@@ -255,36 +194,20 @@ class NeighborhoodIndex:
         degrees = [self.degree(v) for v in self._nodes]
         return (min(degrees), max(degrees))
 
-    # -- batch interface (array kernels) ---------------------------------------
+    # -- batch interface -----------------------------------------------------------
     def prefetch(self, nodes: Iterable[int]) -> None:
         """Compute the sets of ``nodes`` ahead of access.
 
-        On the kernel engine every not-yet-known source joins *one*
-        vectorized multi-source BFS (a request chain's primaries cost a
-        single frontier expansion); on the legacy engine this just warms
-        the per-node memo.  Raises ``KeyError`` for unknown ids, like the
-        accessors would.
+        Every not-yet-known source joins *one* vectorized multi-source BFS
+        (a request chain's primaries cost a single frontier expansion).
+        Raises ``KeyError`` for unknown ids, like the accessors would.
         """
-        kernel = self._resolve_kernel()
-        if kernel is not None:
-            kernel.masks_for(list(nodes))
-        else:
-            for v in nodes:
-                self.closed(v)
+        self._resolve_kernel().masks_for(list(nodes))
 
     @property
     def integer_cloudlet_ids(self) -> bool | None:
         """Whether every cloudlet id is a plain ``int`` (decided once per
-        index), or ``None`` off the kernel path -- the legacy engine, or an
-        index built without cloudlets -- where :mod:`repro.kernels.items`
-        falls back to the scalar generation loop."""
+        index), or ``None`` for an index built without cloudlets."""
         if self._cl_int is None and self._cl_list is not None:
             self._cl_int = all(type(u) is int for u in self._cl_list)
         return self._cl_int
-
-
-def neighborhood_sequence(
-    graph: nx.Graph, v: int, radii: Sequence[int]
-) -> list[frozenset[int]]:
-    """``N_l^+(v)`` for several radii at once (testing/analysis helper)."""
-    return [frozenset(bfs_within(graph, v, r)) for r in radii]

@@ -58,10 +58,11 @@ class AlgorithmSpec:
 
         Registry reconstruction is only used when a registered factory
         rebuilds an instance with *identical* constructor state (so e.g. a
-        non-default ``MatchingHeuristic(incremental=False)`` is shipped by
-        pickle, not silently replaced by the default-configured registry
-        build).  ``None`` means the algorithm cannot cross a process
-        boundary at all; the caller must fall back to inline execution.
+        non-default ``MatchingHeuristic(stop_at_expectation=False)`` is
+        shipped by pickle, not silently replaced by the default-configured
+        registry build).  ``None`` means the algorithm cannot cross a
+        process boundary at all; the caller must fall back to inline
+        execution.
         """
         factory = algorithm_factory(algorithm.name)
         if factory is not None:

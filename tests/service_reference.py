@@ -12,11 +12,12 @@ order, with the conventions of
 * all-or-nothing primary intake on the drawn cloudlets, no redraw;
 * the cost-cap guard on the summed cost of the request's edge universe.
 
-Each admitted request is solved by the heuristic's *rebuild* engine
-(``MatchingHeuristic(incremental=False)``) through the stock ``solve``, on
-a plain :class:`~repro.netmodel.capacity.CapacityLedger`.  That engine
-shares no round-loop code with the service's wave path, so agreement
-with it tests the round loop itself, not just batched == sequential.
+Each admitted request is solved by the rebuild round loop of
+:class:`tests.reference.rebuild.RebuildHeuristic` through the stock
+``solve``, on a plain :class:`~repro.netmodel.capacity.CapacityLedger`.
+That loop shares no round-loop code with the service's wave path, so
+agreement with it tests the round loop itself, not just batched ==
+sequential.
 
 The model has the engine's ``admit_batch`` / ``depart`` / ``ledger``
 surface, so :func:`repro.service.server.replay_trace` drives it as well.
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.heuristic import MatchingHeuristic
 from repro.core.problem import AugmentationProblem
 from repro.netmodel.capacity import CapacityLedger
 from repro.service.batch import SERVICE_COST_CAP, AdmissionRecord
 from repro.util.errors import ValidationError
+from tests.reference.rebuild import RebuildHeuristic
 
 
 def _rejected(name: str, reason: str) -> AdmissionRecord:
@@ -66,9 +67,7 @@ class ReferenceAdmission:
         self.cloudlets = list(network.cloudlets)
         self.neighborhoods = network.neighborhoods(radius)
         self.ledger = CapacityLedger({v: network.capacity(v) for v in self.cloudlets})
-        self.heuristic = MatchingHeuristic(
-            backend=backend, universe_cost_sum=cost_cap, incremental=False
-        )
+        self.heuristic = RebuildHeuristic(backend=backend, universe_cost_sum=cost_cap)
         self.live: dict[str, list] = {}
 
     def admit_batch(self, requests) -> list[AdmissionRecord]:

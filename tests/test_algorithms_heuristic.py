@@ -44,8 +44,9 @@ class TestMatchingHeuristic:
 
     def test_backends_agree(self, small_problem):
         via_scipy = MatchingHeuristic(backend="scipy").solve(small_problem)
-        via_own = MatchingHeuristic(backend="own").solve(small_problem)
-        assert via_own.reliability == pytest.approx(via_scipy.reliability, abs=1e-12)
+        for backend in ("sparse", "warm"):
+            other = MatchingHeuristic(backend=backend).solve(small_problem)
+            assert other.reliability == pytest.approx(via_scipy.reliability, abs=1e-12)
 
     def test_prefix_structure(self, small_problem):
         result = MatchingHeuristic().solve(small_problem)

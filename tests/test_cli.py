@@ -80,8 +80,10 @@ class TestMain:
             assert "fig3(c)" in out
 
     def test_matching_backend_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig3", "--matching-backend", "bogus"])
+        for backend in ("bogus", "own"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["fig3", "--matching-backend", backend])
+            assert exc.value.code == 2
 
     def test_batch_smoke(self, capsys, monkeypatch):
         monkeypatch.setattr(

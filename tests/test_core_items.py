@@ -9,7 +9,6 @@ import pytest
 from repro.core.items import (
     BackupItem,
     ItemGenerationConfig,
-    capacity_bound_items,
     generate_items,
     items_by_position,
 )
@@ -19,6 +18,7 @@ from repro.netmodel.neighborhoods import NeighborhoodIndex
 from repro.netmodel.vnf import Request, ServiceFunctionChain, VNFType
 from repro.topology.families import line_topology
 from repro.util.errors import ValidationError
+from tests.reference.items import capacity_bound_items
 
 
 def _make_request(types, expectation=0.95):
@@ -32,6 +32,9 @@ def line5():
 
 
 class TestCapacityBound:
+    """The ``K_i`` count of the scalar reference loop the kernel is checked
+    against (``tests/test_kernels_differential.py``)."""
+
     def test_sum_of_floors(self):
         residuals = {0: 1000.0, 1: 550.0, 2: 0.0}
         assert capacity_bound_items(residuals, [0, 1, 2], 250.0) == 4 + 2 + 0
@@ -125,6 +128,23 @@ class TestGenerateItems:
         request = _make_request([func, func])
         with pytest.raises(ValidationError):
             generate_items(request, [0], line5.neighborhoods(1), {0: 100.0})
+
+    def test_index_without_cloudlets_raises(self):
+        func = VNFType("f", demand=100.0, reliability=0.8)
+        index = NeighborhoodIndex(line_topology(5), 1)  # no cloudlets argument
+        with pytest.raises(KeyError, match="built with cloudlets"):
+            generate_items(
+                _make_request([func]), [2], index, {v: 1000.0 for v in range(5)}
+            )
+
+    def test_non_positive_demand_raises(self, line5):
+        func = VNFType("f", demand=100.0, reliability=0.8)
+        object.__setattr__(func, "demand", 0.0)  # VNFType itself rejects 0
+        with pytest.raises(ValidationError, match="demand must be > 0"):
+            generate_items(
+                _make_request([func]), [2], line5.neighborhoods(1),
+                {v: 1000.0 for v in range(5)},
+            )
 
     def test_gain_floor_truncates(self, line5):
         func = VNFType("f", demand=100.0, reliability=0.9)

@@ -22,6 +22,7 @@ from repro.netmodel.capacity import CapacityLedger
 from repro.netmodel.vnf import VNFCatalog
 from repro.service.batch import SERVICE_COST_CAP
 from repro.util.errors import ValidationError
+from tests.reference.rebuild import RebuildHeuristic
 
 SETTINGS = ExperimentSettings(
     num_aps=200, capacity_range=(2000, 4000), sfc_length_range=(2, 4)
@@ -116,17 +117,17 @@ class TestWaveContract:
         assert len(problems) >= 2
         return problems
 
-    @pytest.mark.parametrize("backend", ["scipy", "own", "sparse", "auto"])
+    @pytest.mark.parametrize("backend", ["scipy", "sparse", "auto"])
     def test_several_problems_need_the_warm_backend(self, backend):
         heuristic = MatchingHeuristic(backend=backend, universe_cost_sum=SERVICE_COST_CAP)
         with pytest.raises(ValidationError):
             heuristic.solve_wave(self._problems())
 
     def test_several_problems_need_the_incremental_engine(self):
-        heuristic = MatchingHeuristic(
-            backend="warm", universe_cost_sum=SERVICE_COST_CAP, incremental=False
-        )
-        with pytest.raises(ValidationError):
+        """Only the incremental loop solves waves; the rebuild reference
+        loop refuses several problems instead of solving one of them."""
+        heuristic = RebuildHeuristic(backend="warm", universe_cost_sum=SERVICE_COST_CAP)
+        with pytest.raises(ValidationError, match="one problem at a time"):
             heuristic.solve_wave(self._problems())
 
     def test_several_problems_need_a_pinned_dummy_cost(self):

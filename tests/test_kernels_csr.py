@@ -21,7 +21,7 @@ from repro.kernels.csr import (
     truncated_bfs_distances,
     truncated_bfs_masks,
 )
-from repro.netmodel.neighborhoods import NeighborhoodIndex, bfs_within
+from repro.netmodel.neighborhoods import NeighborhoodIndex
 
 
 def _random_connected_graph(seed: int, n: int = 24, p: float = 0.12) -> nx.Graph:
@@ -61,24 +61,6 @@ def test_truncated_bfs_matches_networkx_all_radii(seed):
             }
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-def test_truncated_bfs_matches_legacy_deque(seed):
-    """The kernel agrees with the legacy bfs_within reference verbatim."""
-    graph = _random_connected_graph(seed, n=18, p=0.15)
-    csr = csr_adjacency(graph)
-    sources = np.arange(csr.num_nodes, dtype=np.intp)
-    for radius in (0, 1, 2, 5):
-        dist = truncated_bfs_distances(csr, sources, radius)
-        for s in range(csr.num_nodes):
-            legacy = bfs_within(graph, csr.order[s], radius)
-            got = {
-                csr.order[i]: int(dist[s, i])
-                for i in range(csr.num_nodes)
-                if dist[s, i] >= 0
-            }
-            assert got == legacy
-
-
 def test_truncated_bfs_beyond_diameter_reaches_everything():
     graph = _random_connected_graph(42, n=15)
     csr = csr_adjacency(graph)
@@ -111,14 +93,15 @@ def test_csr_adjacency_non_contiguous_ids():
 
 
 def test_kernel_masks_match_index_sets():
-    """NeighborhoodKernel masks decode to exactly the legacy closed sets."""
+    """NeighborhoodKernel masks decode to exactly the networkx reach sets,
+    and NeighborhoodIndex serves those sets."""
     graph = _random_connected_graph(5, n=20)
     kernel = neighborhood_kernel(graph, 2)
-    legacy = NeighborhoodIndex(graph, 2, kernel=None)
+    index = NeighborhoodIndex(graph, 2)
     for v in graph.nodes:
         decoded = {kernel.order[i] for i in np.nonzero(kernel.mask(v))[0]}
-        assert decoded == set(bfs_within(graph, v, 2))
-        assert decoded == legacy.closed(v)
+        assert decoded == set(nx.single_source_shortest_path_length(graph, v, cutoff=2))
+        assert decoded == index.closed(v)
 
 
 def test_kernel_batches_and_caches_masks():

@@ -1,16 +1,16 @@
 """Differential proof that the array kernels are bit-identical to the code
-they replace.
+they replaced.
 
 Three layers, each compared with *exact* float equality (no tolerances):
 
 * ladders -- :func:`cost_ladder_array` / :func:`gain_ladder_array` against
   the scalar :func:`paper_cost_ladder` / :func:`gain_ladder`;
-* generation -- kernel-built vs legacy-built problems over the canonical
-  differential stream plus figure-scale specs (items, bins, gains, costs);
-* solves -- the full matching heuristic, kernel+arena on vs everything off.
-
-The legacy paths are selected with ``REPRO_KERNELS=0`` (the kill switch the
-production code honours), so these tests also pin the switch itself.
+* generation -- kernel-built problems vs the scalar reference loop of
+  ``tests/reference/items.py`` over the canonical differential stream plus
+  figure-scale specs (items, bins, gains, costs);
+* solves -- the full matching heuristic (kernel items, edge plan, arena,
+  incremental rounds) vs scalar items solved by the rebuild reference loop
+  of ``tests/reference/rebuild.py`` (no plan, fresh buffers).
 """
 
 from __future__ import annotations
@@ -22,16 +22,26 @@ import pytest
 
 from repro.algorithms.heuristic import MatchingHeuristic
 from repro.core.items import gain_ladder, paper_cost_ladder
-from repro.experiments.instances import InstanceSpec, build_instance, differential_suite
-from repro.kernels import clear_kernel_caches, kernels_enabled
+from repro.core.problem import AugmentationProblem
+from repro.experiments.instances import (
+    InstanceSpec,
+    build_inputs,
+    build_instance,
+    differential_suite,
+)
 from repro.kernels.arena import MatrixArena, thread_arena
 from repro.kernels.items import (
     cost_ladder_array,
     cost_tuple,
     gain_ladder_array,
     gain_tuple,
+    generate_items_vectorized,
     plan_of,
 )
+from repro.netmodel.neighborhoods import NeighborhoodIndex
+from tests.reference.items import generate_items_scalar
+from tests.reference.rebuild import RebuildHeuristic
+
 #: The canonical stream (25+) plus figure-scale settings: Fig. 1/2 use
 #: |V| = 100 APs with 10% cloudlets and l = 1; Fig. 3 sweeps the residual
 #: fraction (0.25 default) over the same topology.
@@ -47,26 +57,25 @@ SPECS = list(differential_suite(30)) + [
 ]
 
 
-@pytest.fixture()
-def kernels_off(monkeypatch):
-    """Context selecting the legacy scalar paths (and back on exit)."""
-    def off():
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        clear_kernel_caches()
-
-    def on():
-        monkeypatch.setenv("REPRO_KERNELS", "1")
-        clear_kernel_caches()
-
-    yield off, on
-    on()
-
-
-def _item_tuples(problem):
+def _tuples(items):
     return [
         (it.position, it.k, it.function_name, it.demand, it.gain, it.cost, it.bins)
-        for it in problem.items
+        for it in items
     ]
+
+
+def _reference_problem(spec):
+    """The spec's problem with the scalar loop's items and no edge plan."""
+    inp = build_inputs(spec)
+    neighborhoods = inp.network.neighborhoods(inp.radius)
+    residuals = dict(inp.residuals)
+    items = generate_items_scalar(
+        inp.request, inp.primary_placement, neighborhoods, residuals, inp.item_config
+    )
+    return AugmentationProblem.from_items(
+        inp.network, inp.request, inp.primary_placement, inp.radius, residuals,
+        neighborhoods, items, None,
+    )
 
 
 # -- ladders -------------------------------------------------------------------
@@ -112,44 +121,28 @@ def test_ladders_of_instance_reliabilities_bit_identical():
 # -- generation ----------------------------------------------------------------
 
 
-def test_generation_bit_identical_across_suite(kernels_off):
-    """Kernel-built and legacy-built problems carry the same items: same
+def test_generation_bit_identical_across_suite():
+    """Kernel-built problems carry the scalar reference loop's items: same
     ordering, same bins, same gain/cost floats -- across 34 seeded specs
     spanning every topology family, chain lengths 1..10, radii 0..3, and
     the figure-scale settings."""
-    off, on = kernels_off
     exercised = 0
     for spec in SPECS:
-        on()
         kernel_problem = build_instance(spec)
         assert plan_of(kernel_problem) is not None
-        off()
-        legacy_problem = build_instance(spec)
-        assert plan_of(legacy_problem) is None
-        assert _item_tuples(kernel_problem) == _item_tuples(legacy_problem)
+        reference = _reference_problem(spec)
+        assert _tuples(kernel_problem.items) == _tuples(reference.items), spec
         if kernel_problem.items:
             exercised += 1
-    on()
     assert exercised >= 25  # the comparison must not be vacuous
 
 
 def test_kernel_on_domain_residuals_bit_identical_to_legacy():
     """The admission service hands item generation a residual map of the
     request's domain only (the cloudlets of its primaries' ``l``-hop
-    neighborhoods).  On such a map the kernel and the legacy loop must emit
-    the items legacy emits on the full map, and the kernel the same edge
-    plan as on the full map."""
-    from repro.core.items import _generate_items_legacy
-    from repro.experiments.instances import build_inputs
-    from repro.kernels.csr import neighborhood_kernel
-    from repro.kernels.items import generate_items_vectorized
-    from repro.netmodel.neighborhoods import NeighborhoodIndex
-
-    def tuples(items):
-        return [
-            (it.position, it.k, it.function_name, it.demand, it.gain, it.cost, it.bins)
-            for it in items
-        ]
+    neighborhoods).  On such a map the kernel and the scalar reference loop
+    must emit the items the reference emits on the full map, and the
+    kernel the same edge plan as on the full map."""
 
     def plan_arrays(plan):
         return (
@@ -160,27 +153,21 @@ def test_kernel_on_domain_residuals_bit_identical_to_legacy():
     exercised = restricted = 0
     for spec in SPECS:
         inp = build_inputs(spec)
-        # Explicit kernel: this test targets the vectorized entry point
-        # directly and must work regardless of the REPRO_KERNELS default.
-        graph = inp.network.graph
         nbhd = NeighborhoodIndex(
-            graph,
-            inp.radius,
-            cloudlets=inp.network.cloudlets,
-            kernel=neighborhood_kernel(graph, inp.radius),
+            inp.network.graph, inp.radius, cloudlets=inp.network.cloudlets
         )
         domain = set().union(*(nbhd.closed_cloudlets(v) for v in inp.primary_placement))
         local = {v: c for v, c in inp.residuals.items() if v in domain}
         restricted += len(local) < len(inp.residuals)
 
-        legacy = tuples(
-            _generate_items_legacy(
+        legacy = _tuples(
+            generate_items_scalar(
                 inp.request, inp.primary_placement, nbhd, inp.residuals,
                 inp.item_config,
             )
         )
-        assert tuples(
-            _generate_items_legacy(
+        assert _tuples(
+            generate_items_scalar(
                 inp.request, inp.primary_placement, nbhd, local, inp.item_config
             )
         ) == legacy, spec
@@ -191,7 +178,7 @@ def test_kernel_on_domain_residuals_bit_identical_to_legacy():
             for residuals in (local, inp.residuals)
         ]
         (items, plan), (_, full_plan) = outs
-        assert tuples(items) == legacy, spec
+        assert _tuples(items) == legacy, spec
         assert plan is not None and full_plan is not None
         assert plan_arrays(plan) == plan_arrays(full_plan), spec
         if legacy:
@@ -200,11 +187,9 @@ def test_kernel_on_domain_residuals_bit_identical_to_legacy():
     assert restricted >= 15  # the domain must actually drop cloudlets
 
 
-def test_plan_matches_statics_edge_universe(kernels_off):
+def test_plan_matches_statics_edge_universe():
     """The generation-time ItemPlan equals the edge arrays _ProblemStatics
     would derive from the items (the engine adopts the plan verbatim)."""
-    _off, on = kernels_off
-    on()  # plans only exist on the kernel path, whatever the ambient env
     for spec in SPECS:
         problem = build_instance(spec)
         plan = plan_of(problem)
@@ -228,8 +213,8 @@ def test_plan_matches_statics_edge_universe(kernels_off):
 # -- solves --------------------------------------------------------------------
 
 
-def _solve_signature(problem, **kwargs):
-    result = MatchingHeuristic(record_trace=True, **kwargs).solve(problem)
+def _solve_signature(problem, algorithm=MatchingHeuristic):
+    result = algorithm(record_trace=True).solve(problem)
     solution = result.solution
     return (
         tuple(sorted((p.position, p.k, p.bin) for p in solution.placements)),
@@ -243,27 +228,26 @@ def _solve_signature(problem, **kwargs):
     )
 
 
-def test_solves_bit_identical_kernels_vs_legacy(kernels_off):
+def test_solves_bit_identical_kernels_vs_legacy():
     """End to end: same placements, same reliability and paper-cost floats,
-    same per-round trace, with kernels+arena on vs off."""
-    off, on = kernels_off
+    same per-round trace, for kernel items + edge plan + arena +
+    incremental rounds and for scalar reference items solved by the
+    rebuild reference loop."""
     for spec in SPECS:
-        on()
         with_kernels = _solve_signature(build_instance(spec))
-        off()
-        without = _solve_signature(build_instance(spec))
-        assert with_kernels == without, spec
-    on()
+        reference = _solve_signature(_reference_problem(spec), RebuildHeuristic)
+        assert with_kernels == reference, spec
 
 
 def test_arena_on_off_bit_identical():
-    """The arena only changes where scratch memory lives, never results --
-    including back-to-back solves reusing the same thread arena."""
+    """The arena only changes where scratch memory lives, never results:
+    back-to-back solves reusing this thread's arena equal the rebuild
+    reference loop, which allocates fresh buffers."""
     for spec in SPECS[:12]:
         problem = build_instance(spec)
-        base = _solve_signature(problem, use_arena=False)
-        assert _solve_signature(problem, use_arena=True) == base
-        assert _solve_signature(problem, use_arena=True) == base  # reused pools
+        base = _solve_signature(problem, RebuildHeuristic)
+        assert _solve_signature(problem) == base
+        assert _solve_signature(problem) == base  # reused pools
 
 
 # -- arena contract ------------------------------------------------------------
@@ -294,12 +278,3 @@ def test_arena_take_grows_and_reuses():
     assert big.size == 100
     ar = arena.arange(10)
     assert ar.tolist() == list(range(10))
-
-
-def test_kernels_enabled_reads_env(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    assert kernels_enabled()
-    monkeypatch.setenv("REPRO_KERNELS", "0")
-    assert not kernels_enabled()
-    monkeypatch.setenv("REPRO_KERNELS", "1")
-    assert kernels_enabled()

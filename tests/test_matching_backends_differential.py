@@ -1,16 +1,18 @@
 """Differential suite for the matching backends: every solve bit-identical.
 
-The matching core exposes four backends (plus ``"auto"`` and the
+The matching core exposes three backends (plus ``"auto"`` and the
 ``REPRO_MATCHING`` environment default); this suite holds them to the
-tentpole's exactness contract on the canonical instance stream of
+exactness contract on the canonical instance stream of
 :func:`repro.experiments.instances.differential_suite`:
 
-* per backend, the incremental and rebuild engines agree placement by
-  placement, round by round (the warm backend's shared dual store keyed by
-  global ids makes this non-trivial);
+* per backend, the incremental engine and the rebuild reference loop of
+  ``tests/reference/rebuild.py`` agree placement by placement, round by
+  round (the warm backend's shared dual store keyed by global ids makes
+  this non-trivial);
+* the engine leases its scratch from the thread arena, the reference
+  allocates fresh buffers: back-to-back arena solves equal the reference;
 * ``backend=`` argument and ``REPRO_MATCHING`` environment produce the
   bit-identical result;
-* arena-leased scratch (``use_arena=True``) changes nothing;
 * ``"auto"`` is bit-identical to the dense reference at canonical scale
   (every round sits below ``SPARSE_CUTOFF``), so the default solve is
   exactly the seed behaviour;
@@ -29,6 +31,7 @@ from repro.experiments.instances import differential_suite
 from repro.experiments.runner import run_point
 from repro.experiments.settings import ExperimentSettings
 from repro.matching.mincost import BACKENDS, MATCHING_ENV
+from tests.reference.rebuild import RebuildHeuristic
 
 SPECS = list(differential_suite(25))
 SPEC_IDS = [f"{s.family}-L{s.chain_length}-l{s.radius}-seed{s.seed}" for s in SPECS]
@@ -37,12 +40,8 @@ BACKEND_IDS = list(BACKENDS) + ["auto"]
 
 
 def _signature(result, problem):
-    """Everything a solve reports, minus the engine/backend labels."""
-    meta = {
-        k: v
-        for k, v in result.meta.items()
-        if k not in ("engine", "matching_backend")
-    }
+    """Everything a solve reports, minus the backend label."""
+    meta = {k: v for k, v in result.meta.items() if k != "matching_backend"}
     return (
         result.solution.placements,
         result.reliability,
@@ -56,9 +55,8 @@ def _signature(result, problem):
     )
 
 
-def _solve(problem, backend, **kwargs):
-    algorithm = MatchingHeuristic(backend=backend, record_trace=True, **kwargs)
-    return algorithm.solve(problem)
+def _solve(problem, backend, algorithm=MatchingHeuristic, **kwargs):
+    return algorithm(backend=backend, record_trace=True, **kwargs).solve(problem)
 
 
 class TestEnginesIdenticalPerBackend:
@@ -66,8 +64,8 @@ class TestEnginesIdenticalPerBackend:
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_incremental_equals_rebuild(self, spec, backend, instance_factory):
         problem = instance_factory(spec)
-        inc = _solve(problem, backend, incremental=True)
-        reb = _solve(problem, backend, incremental=False)
+        inc = _solve(problem, backend)
+        reb = _solve(problem, backend, RebuildHeuristic)
         assert _signature(inc, problem) == _signature(reb, problem), (spec, backend)
 
     @pytest.mark.parametrize("backend", ["sparse", "warm"])
@@ -75,8 +73,8 @@ class TestEnginesIdenticalPerBackend:
     def test_max_fill_regime(self, spec, backend, instance_factory):
         """No expectation stop -- the long-round regime duals persist over."""
         problem = instance_factory(spec)
-        inc = _solve(problem, backend, incremental=True, stop_at_expectation=False)
-        reb = _solve(problem, backend, incremental=False, stop_at_expectation=False)
+        inc = _solve(problem, backend, stop_at_expectation=False)
+        reb = _solve(problem, backend, RebuildHeuristic, stop_at_expectation=False)
         assert _signature(inc, problem) == _signature(reb, problem), (spec, backend)
 
 
@@ -133,13 +131,16 @@ class TestArenaInvariance:
     @pytest.mark.parametrize("backend", ["sparse", "warm"])
     @pytest.mark.parametrize("spec", SPECS[::6], ids=SPEC_IDS[::6])
     def test_arena_on_off_identical(self, spec, backend, instance_factory):
+        """Back-to-back solves leasing this thread's arena (the second one
+        reuses the first one's buffers) equal the rebuild reference loop,
+        which allocates fresh buffers."""
         problem = instance_factory(spec)
-        with_arena = _solve(problem, backend, use_arena=True)
-        without = _solve(problem, backend, use_arena=False)
-        assert _signature(with_arena, problem) == _signature(without, problem), (
-            spec,
-            backend,
-        )
+        without = _signature(_solve(problem, backend, RebuildHeuristic), problem)
+        for _ in range(2):
+            assert _signature(_solve(problem, backend), problem) == without, (
+                spec,
+                backend,
+            )
 
 
 class TestAggregateStatsExact:

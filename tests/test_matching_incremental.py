@@ -1,9 +1,9 @@
 """Differential suite: the incremental round engine is exactly the rebuild.
 
 The incremental engine of :mod:`repro.matching.incremental` claims
-*bit-for-bit* equivalence with the full-rebuild reference path of
-:class:`MatchingHeuristic` -- not statistical closeness.  These tests hold
-it to that claim on the canonical 50-instance stream of
+*bit-for-bit* equivalence with the full-rebuild round loop kept in
+``tests/reference/rebuild.py`` -- not statistical closeness.  These tests
+hold it to that claim on the canonical 50-instance stream of
 :func:`repro.experiments.instances.differential_suite` (topology family,
 SFC length, radius, and residual scale all vary), comparing:
 
@@ -12,9 +12,8 @@ SFC length, radius, and residual scale all vary), comparing:
 * the per-round trace -- what was placed, the round's paper cost, and the
   achieved reliability after the round -- via ``record_trace=True``.
 
-The from-scratch ``"own"`` Hungarian backend is held to the same standard
-on a subset, and the array-based matcher entry point is checked against
-the mapping-based one directly on random bipartite graphs.
+The array-based matcher entry point is checked against the mapping-based
+one directly on random bipartite graphs.
 """
 
 from __future__ import annotations
@@ -30,14 +29,15 @@ from repro.matching.mincost import (
     min_cost_max_matching,
     min_cost_max_matching_arrays,
 )
+from tests.reference.rebuild import RebuildHeuristic
 
 SPECS = list(differential_suite(50))
 SPEC_IDS = [f"{s.family}-L{s.chain_length}-l{s.radius}-seed{s.seed}" for s in SPECS]
 
 
 def _solve_both(problem, **kwargs):
-    incremental = MatchingHeuristic(incremental=True, record_trace=True, **kwargs)
-    rebuild = MatchingHeuristic(incremental=False, record_trace=True, **kwargs)
+    incremental = MatchingHeuristic(record_trace=True, **kwargs)
+    rebuild = RebuildHeuristic(record_trace=True, **kwargs)
     return incremental.solve(problem), rebuild.solve(problem)
 
 
@@ -50,8 +50,6 @@ def _assert_identical(inc, reb, context):
         assert inc.solution.placements == () == reb.solution.placements, context
         assert inc.reliability == reb.reliability, context
         return
-    assert inc.meta["engine"] == "incremental", context
-    assert reb.meta["engine"] == "rebuild", context
     assert inc.solution.placements == reb.solution.placements, context
     assert inc.meta["rounds"] == reb.meta["rounds"], context
     assert inc.meta["paper_cost_total"] == reb.meta["paper_cost_total"], context
@@ -78,15 +76,6 @@ class TestDifferentialSuite:
         inc, reb = _solve_both(problem, stop_at_expectation=False)
         _assert_identical(inc, reb, spec)
 
-    @pytest.mark.parametrize("spec", SPECS[::10], ids=SPEC_IDS[::10])
-    def test_own_backend_identical(self, spec, instance_factory):
-        """The from-scratch Hungarian backend agrees with itself across
-        engines (scipy and own may tie-break differently from each other,
-        but each engine pair must match exactly)."""
-        problem = instance_factory(spec)
-        inc, reb = _solve_both(problem, backend="own")
-        _assert_identical(inc, reb, spec)
-
 
 class TestArrayMatcherEquivalence:
     """min_cost_max_matching_arrays == min_cost_max_matching, same inputs."""
@@ -102,7 +91,7 @@ class TestArrayMatcherEquivalence:
                     order.append((r, c, cost))
         return edges, order
 
-    @pytest.mark.parametrize("backend", ["scipy", "own"])
+    @pytest.mark.parametrize("backend", ["scipy"])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_mapping_entry_point(self, backend, seed):
         rng = np.random.default_rng(seed)

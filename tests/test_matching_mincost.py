@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matching.mincost import (
+    BACKENDS,
     MatchEdge,
     matching_cardinality_and_cost,
     min_cost_max_matching,
@@ -89,8 +90,9 @@ class TestBasics:
 
 class TestValidation:
     def test_unknown_backend(self):
-        with pytest.raises(ValidationError):
-            min_cost_max_matching(1, 1, {(0, 0): 1.0}, backend="bogus")
+        for backend in ("bogus", "own"):
+            with pytest.raises(ValidationError):
+                min_cost_max_matching(1, 1, {(0, 0): 1.0}, backend=backend)
 
     def test_out_of_range_edge(self):
         with pytest.raises(ValidationError):
@@ -113,7 +115,7 @@ class TestBackendsAgree:
         density=st.floats(0.2, 1.0),
     )
     @settings(max_examples=80, deadline=None)
-    def test_scipy_equals_own_equals_brute_force(self, n, m, seed, density):
+    def test_backends_equal_brute_force(self, n, m, seed, density):
         rng = np.random.default_rng(seed)
         edges = {
             (r, c): float(rng.uniform(-10, 10))
@@ -121,16 +123,15 @@ class TestBackendsAgree:
             for c in range(m)
             if rng.uniform() < density
         }
-        via_scipy = min_cost_max_matching(n, m, edges, backend="scipy")
-        via_own = min_cost_max_matching(n, m, edges, backend="own")
         reference = brute_force_mcmm(n, m, edges)
-        for matching in (via_scipy, via_own):
+        for backend in BACKENDS:
+            matching = min_cost_max_matching(n, m, edges, backend=backend)
             card, cost = matching_cardinality_and_cost(matching)
             assert card == reference[0]
             if card:
                 assert cost == pytest.approx(reference[1])
 
-    @pytest.mark.parametrize("backend", ["scipy", "own"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_matching_is_valid(self, backend):
         rng = np.random.default_rng(3)
         edges = {

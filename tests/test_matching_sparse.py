@@ -226,8 +226,9 @@ class TestBackendSelection:
             assert resolve_backend(backend) == backend
 
     def test_resolve_unknown_raises(self):
-        with pytest.raises(ValidationError):
-            resolve_backend("bogus")
+        for backend in ("bogus", "own"):
+            with pytest.raises(ValidationError):
+                resolve_backend(backend)
 
     def test_select_cutoff(self):
         assert select_backend("auto", 10, SPARSE_CUTOFF - 11) == "scipy"
@@ -242,9 +243,10 @@ class TestBackendSelection:
         assert default_backend() == "scipy"
         monkeypatch.setenv(MATCHING_ENV, "warm")
         assert default_backend() == "warm"
-        monkeypatch.setenv(MATCHING_ENV, "bogus")
-        with pytest.raises(ValidationError):
-            default_backend()
+        for value in ("bogus", "own"):
+            monkeypatch.setenv(MATCHING_ENV, value)
+            with pytest.raises(ValidationError):
+                default_backend()
 
     def test_auto_matches_dense_below_cutoff(self):
         rng = np.random.default_rng(5)

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
-from repro.netmodel.neighborhoods import (
-    NeighborhoodIndex,
-    bfs_within,
-    neighborhood_sequence,
-)
+from repro.netmodel.neighborhoods import NeighborhoodIndex
 from repro.topology.families import (
     complete_topology,
     grid_topology,
@@ -18,34 +13,6 @@ from repro.topology.families import (
     star_topology,
 )
 from repro.topology.gtitm import generate_gtitm_topology
-
-
-class TestBfsWithin:
-    def test_radius_zero(self):
-        assert bfs_within(line_topology(5), 2, 0) == {2: 0}
-
-    def test_line_distances(self):
-        dist = bfs_within(line_topology(5), 0, 3)
-        assert dist == {0: 0, 1: 1, 2: 2, 3: 3}
-
-    def test_matches_networkx(self):
-        graph = generate_gtitm_topology(40, rng=5)
-        for source in [0, 7, 21]:
-            for radius in [1, 2, 3]:
-                ours = bfs_within(graph, source, radius)
-                reference = {
-                    v: d
-                    for v, d in nx.single_source_shortest_path_length(
-                        graph, source, cutoff=radius
-                    ).items()
-                }
-                assert ours == reference
-
-    def test_negative_radius_rejected(self):
-        # A negative radius used to fall through to an *untruncated* BFS
-        # (no level could ever equal it); it is always a caller bug.
-        with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
-            bfs_within(line_topology(5), 2, -1)
 
 
 class TestNeighborhoodIndex:
@@ -117,7 +84,8 @@ class TestNeighborhoodIndex:
     def test_nested_by_radius(self):
         """N_l^+(v) grows monotonically with l."""
         graph = generate_gtitm_topology(30, rng=8)
-        seqs = {v: neighborhood_sequence(graph, v, [0, 1, 2, 3]) for v in [0, 5, 10]}
+        indexes = [NeighborhoodIndex(graph, radius) for radius in [0, 1, 2, 3]]
+        seqs = {v: [index.closed(v) for index in indexes] for v in [0, 5, 10]}
         for sets in seqs.values():
             for smaller, larger in zip(sets, sets[1:]):
                 assert smaller <= larger

@@ -66,7 +66,7 @@ class TestRunPointDifferential:
         """A custom algorithm (no registry entry, still picklable) works."""
         stats = run_point(
             SETTINGS,
-            [MatchingHeuristic(incremental=False), NoAugmentation()],
+            [MatchingHeuristic(stop_at_expectation=False), NoAugmentation()],
             trials=4,
             rng=5,
             jobs=2,

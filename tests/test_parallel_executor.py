@@ -130,11 +130,11 @@ class TestAlgorithmSpec:
 
     def test_non_default_instance_ships_pickled(self):
         """A customised instance must not be silently replaced by defaults."""
-        spec = AlgorithmSpec.from_algorithm(MatchingHeuristic(incremental=False))
+        spec = AlgorithmSpec.from_algorithm(MatchingHeuristic(stop_at_expectation=False))
         assert spec.key is None
         rebuilt = spec.build()
         assert isinstance(rebuilt, MatchingHeuristic)
-        assert rebuilt.incremental is False
+        assert rebuilt.stop_at_expectation is False
 
     def test_build_matches_original(self):
         for algorithm in (ILPAlgorithm(), GreedyGain(bin_policy="best_fit")):

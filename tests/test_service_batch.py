@@ -103,7 +103,7 @@ class TestWarmDifferential:
 
 
 class TestAllBackends:
-    @pytest.mark.parametrize("backend", ["scipy", "own", "sparse", "warm"])
+    @pytest.mark.parametrize("backend", ["scipy", "sparse", "warm", "auto"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batched_equals_sequential(self, backend, seed):
         batched = run_mode("batched", backend, 500 + seed, 600 + seed, requests=25)
@@ -117,7 +117,7 @@ class TestAllBackends:
         """Different backends may pick different (equal-cost) matchings, but
         per-request admission verdicts must agree."""
         verdicts = {}
-        for backend in ("scipy", "own", "sparse", "warm"):
+        for backend in ("scipy", "sparse", "warm", "auto"):
             _, stats = run_mode("batched", backend, 700 + seed, 800 + seed, requests=25)
             verdicts[backend] = [(r.name, r.admitted) for r in stats.records]
         assert len({tuple(v) for v in verdicts.values()}) == 1
