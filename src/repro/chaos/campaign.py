@@ -106,7 +106,7 @@ class ChaosStreamController(ResilientStreamController):
     def _before_run(self) -> None:
         self.queue.schedule_batch(self.scenario.expand(self.network.cloudlets))
         if self.scenario.audit_cadence > 0:
-            self.queue.schedule(self.scenario.audit_cadence, (AUDIT,))
+            self.queue.push(self.scenario.audit_cadence, (AUDIT,))
 
     def _handle_extra(self, kind: str, payload: tuple, now: float) -> bool:
         if kind == PHASE_START:
@@ -125,7 +125,7 @@ class ChaosStreamController(ResilientStreamController):
             return True
         if kind == AUDIT:
             self.auditor.audit(now)
-            self.queue.schedule(now + self.scenario.audit_cadence, (AUDIT,))
+            self.queue.push(now + self.scenario.audit_cadence, (AUDIT,))
             return True
         return False
 

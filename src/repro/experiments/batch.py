@@ -331,10 +331,8 @@ def run_request_stream(
 class StreamTask:
     """One independent request stream of an ensemble, described by value.
 
-    The classic (``REPRO_SHM=0``) work unit: when the ensemble shares a
-    ``network``, every task carries its own pickled copy of it -- exactly
-    the per-task redundancy the shared-memory path removes by publishing
-    the network's CSR arrays once per ensemble.
+    The ensemble's only work unit: when the ensemble shares a ``network``,
+    every task carries its own pickled copy of it.
     """
 
     settings: ExperimentSettings
@@ -380,11 +378,10 @@ def run_stream_ensemble(
     ``network`` pins every stream to one shared topology (capacity
     *ledgers* stay per-stream) -- the operator question "how does *my*
     network behave under many independent arrival draws".  When omitted,
-    each stream draws its own topology from its seed, as before.  With
-    ``REPRO_SHM=1`` a shared network crosses the process boundary once,
-    as CSR arrays in a shared-memory segment, instead of once per task.
+    each stream draws its own topology from its seed, as before.  Worker
+    tasks are :class:`StreamTask` values whatever ``REPRO_SHM`` says, so a
+    shared network is pickled into each of them.
     """
-    from repro.parallel import shm
     from repro.parallel.executor import resolve_jobs, shared_executor
     from repro.parallel.tasks import AlgorithmSpec
 
@@ -404,22 +401,6 @@ def run_stream_ensemble(
             )
             for seed in seeds
         ]
-    if shm.shm_enabled():
-        state = shm.publish_stream_ensemble(
-            settings,
-            spec,
-            num_requests,
-            seeds,
-            bit_generator=bit_generator,
-            network=network,
-        )
-        try:
-            tasks = [shm.ShmTask(state.name, index) for index in range(streams)]
-            return shared_executor(num_jobs).map_ordered(
-                shm.execute_shm_stream, tasks
-            )
-        finally:
-            state.unlink()
     tasks = [
         StreamTask(
             settings=settings,

@@ -106,49 +106,6 @@ class CSRAdjacency:
     def num_nodes(self) -> int:
         return len(self.order)
 
-    @classmethod
-    def from_arrays(
-        cls,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        order: list | None = None,
-    ) -> "CSRAdjacency":
-        """Rebuild a CSR view from raw arrays without touching a graph.
-
-        The attach side of the shared-memory distribution layer
-        (:mod:`repro.parallel.shm`): the arrays may be **read-only views**
-        over a shared segment -- nothing here copies or writes them, so
-        the rebuilt view is zero-copy.  ``order`` defaults to contiguous
-        ids ``0..n-1``.  Validates CSR shape invariants (monotone
-        ``indptr`` starting at 0, in-range ``indices``) so a corrupt
-        segment fails here rather than in a BFS.
-        """
-        indptr = np.asarray(indptr)
-        indices = np.asarray(indices)
-        if indptr.ndim != 1 or len(indptr) < 1 or indptr[0] != 0:
-            raise ValueError("indptr must be 1-D and start at 0")
-        if np.any(np.diff(indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        n = len(indptr) - 1
-        if int(indptr[-1]) != len(indices):
-            raise ValueError("indptr[-1] must equal len(indices)")
-        if len(indices) and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError("indices out of range for the node count")
-        if order is None:
-            order = list(range(n))
-        elif len(order) != n:
-            raise ValueError(f"order has {len(order)} ids for {n} nodes")
-        csr = object.__new__(cls)
-        csr.indptr = indptr
-        csr.indices = indices
-        csr.order = list(order)
-        csr.index_of = {v: i for i, v in enumerate(csr.order)}
-        return csr
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(indptr, indices)`` pair (what a publisher serialises)."""
-        return self.indptr, self.indices
-
 
 _CSR_CACHE: "WeakKeyDictionary[nx.Graph, CSRAdjacency]" = WeakKeyDictionary()
 
@@ -158,32 +115,6 @@ def csr_adjacency(graph: nx.Graph) -> CSRAdjacency:
     csr = _CSR_CACHE.get(graph)
     if csr is None:
         csr = _CSR_CACHE[graph] = CSRAdjacency(graph)
-    return csr
-
-
-def adopt_csr(graph: nx.Graph, csr: CSRAdjacency) -> CSRAdjacency:
-    """Install a pre-built CSR view as ``graph``'s memoized adjacency.
-
-    The shared-memory attach path rebuilds a worker's graph from published
-    arrays and then *adopts* the shared read-only CSR views into this
-    cache, so every neighborhood kernel over the rebuilt graph runs its
-    BFS directly on the segment's buffers instead of re-flattening the
-    adjacency.  The view is verified against the graph (node count, edge
-    count, node order) before it is trusted -- adopting a mismatched view
-    raises rather than silently corrupting every downstream reach set.
-    """
-    if csr.num_nodes != graph.number_of_nodes():
-        raise ValueError(
-            f"CSR has {csr.num_nodes} nodes, graph has {graph.number_of_nodes()}"
-        )
-    if len(csr.indices) != 2 * graph.number_of_edges():
-        raise ValueError(
-            f"CSR has {len(csr.indices)} directed edges, "
-            f"graph has {2 * graph.number_of_edges()}"
-        )
-    if csr.order != list(graph.nodes):
-        raise ValueError("CSR node order does not match graph iteration order")
-    _CSR_CACHE[graph] = csr
     return csr
 
 
@@ -235,50 +166,6 @@ def truncated_bfs_masks(
             break
         reach |= frontier
     return reach
-
-
-def truncated_bfs_distances(
-    csr: CSRAdjacency, source_indices: np.ndarray, radius: int
-) -> np.ndarray:
-    """Hop-distance matrix of a truncated BFS from many sources at once.
-
-    ``dist[s, i]`` is the hop distance from ``source_indices[s]`` to node
-    index ``i``, or ``-1`` when ``i`` is farther than ``radius`` hops.
-    Same frontier expansion as :func:`truncated_bfs_masks`, additionally
-    recording the level at which each node is first reached.
-    """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    num_sources = len(source_indices)
-    n = csr.num_nodes
-    dist = np.full((num_sources, n), -1, dtype=np.int64)
-    dist[np.arange(num_sources), source_indices] = 0
-    if radius == 0:
-        return dist
-    indptr, indices = csr.indptr, csr.indices
-    reach = dist >= 0
-    frontier = reach.copy()
-    for level in range(1, radius + 1):
-        rows, nodes = np.nonzero(frontier)
-        if len(nodes) == 0:
-            break
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        ends = np.cumsum(counts)
-        flat = np.arange(total, dtype=np.intp) + np.repeat(starts - (ends - counts), counts)
-        neighbor = indices[flat]
-        out_row = np.repeat(rows, counts)
-        frontier = np.zeros_like(reach)
-        frontier[out_row, neighbor] = True
-        frontier &= ~reach
-        if not frontier.any():
-            break
-        reach |= frontier
-        dist[frontier] = level
-    return dist
 
 
 class NeighborhoodKernel:

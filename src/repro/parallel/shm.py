@@ -1,4 +1,4 @@
-"""Zero-pickle shared-memory work distribution for the parallel engines.
+"""Zero-pickle shared-memory work distribution for the parallel sweep.
 
 The chunked sweep executor (:mod:`repro.parallel.executor`) originally
 shipped every :class:`~repro.parallel.tasks.ChunkTask` with a fully
@@ -55,6 +55,8 @@ are rebuilt by the worker.
 Switch: ``REPRO_SHM=0`` disables the layer (tasks fall back to the
 classic fully-pickled payloads); the numbers are bit-identical either way
 -- the differential suite proves it at 1/2/4 workers under both settings.
+Only the ``run_point`` sweep uses the layer; the request-stream ensemble
+always ships fully-pickled tasks.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from repro.util.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.experiments.runner import AggregateStats
-    from repro.netmodel.graph import MECNetwork
 
 #: Environment variable switching the layer off (``0``) or on (``1``, default).
 SHM_ENV = "REPRO_SHM"
@@ -470,11 +471,10 @@ def publish_payload(kind: str, arrays: Mapping[str, np.ndarray], meta: dict) -> 
 class ShmTask:
     """The whole per-task payload: ``(segment name, task index)``.
 
-    Shared by every zero-pickle engine (sweep chunks, stream ensembles,
-    service replay replicas); what the index *means* is defined by the
-    segment's blob.  ``__reduce__`` keeps the pickle positional (no field
-    names), so a task serialises to ~60 bytes regardless of sweep size --
-    the regression budget is :data:`SHM_TASK_BYTE_BUDGET`.
+    A sweep chunk's index into the state its segment's blob describes.
+    ``__reduce__`` keeps the pickle positional (no field names), so a task
+    serialises to ~60 bytes regardless of sweep size -- the regression
+    budget is :data:`SHM_TASK_BYTE_BUDGET`.
     """
 
     __slots__ = ("segment", "index")
@@ -590,77 +590,6 @@ def seed_sequence_at(
     return block.seeds[index]
 
 
-# -- network sharing --------------------------------------------------------------
-
-
-def network_arrays(network: "MECNetwork") -> dict[str, np.ndarray]:
-    """A shared network as typed buffers: CSR adjacency + capacity table.
-
-    ``net_indptr``/``net_indices`` are the CSR neighborhoods of
-    :mod:`repro.kernels.csr`; ``net_order`` maps dense indices back to
-    node ids; ``net_capacity`` is the per-node cloudlet capacity (0 for
-    plain APs).  Workers rebuild the graph from these views and adopt the
-    shared CSR into the kernel caches (:func:`network_from_arrays`), so a
-    worker-side BFS runs over the very same buffers the owner published.
-    """
-    from repro.kernels.csr import csr_adjacency
-
-    csr = csr_adjacency(network.graph)
-    try:
-        order = np.fromiter((int(v) for v in csr.order), dtype=np.int64, count=len(csr.order))
-    except (TypeError, ValueError):
-        raise ValidationError(
-            "only integer node ids can cross the shared-memory boundary"
-        ) from None
-    capacity = np.fromiter(
-        (network.capacity(v) for v in csr.order), dtype=np.float64, count=len(csr.order)
-    )
-    return {
-        "net_indptr": np.asarray(csr.indptr, dtype=np.int64),
-        "net_indices": np.asarray(csr.indices, dtype=np.int64),
-        "net_order": order,
-        "net_capacity": capacity,
-    }
-
-
-def network_from_arrays(arrays: Mapping[str, np.ndarray]) -> "MECNetwork":
-    """Rebuild a :class:`MECNetwork` from :func:`network_arrays` buffers.
-
-    The graph's node and per-node adjacency insertion order reproduce the
-    CSR order, so topology generators that insert edges in CSR-compatible
-    order (all of :mod:`repro.topology`) round-trip to a graph whose
-    iteration behaviour -- and therefore every downstream draw -- is
-    identical to the original's.  The attached CSR views themselves are
-    adopted into the kernel caches (read-only, zero-copy): worker-side
-    neighborhood BFS runs directly over the shared buffers.
-    """
-    import networkx as nx
-
-    from repro.kernels.csr import CSRAdjacency, adopt_csr
-    from repro.netmodel.graph import MECNetwork
-
-    indptr = np.asarray(arrays["net_indptr"], dtype=np.intp)
-    indices = np.asarray(arrays["net_indices"], dtype=np.intp)
-    order = [int(v) for v in arrays["net_order"]]
-    capacity = arrays["net_capacity"]
-    graph = nx.Graph()
-    graph.add_nodes_from(order)
-    for u in range(len(order)):
-        uu = order[u]
-        for w in indices[indptr[u] : indptr[u + 1]]:
-            graph.add_edge(uu, order[w])
-    network = MECNetwork(
-        graph,
-        {order[i]: float(capacity[i]) for i in range(len(order)) if capacity[i] > 0},
-    )
-    # MECNetwork froze a *copy* of the graph; hand that copy the shared
-    # read-only CSR so its neighborhood kernels never rebuild the arrays.
-    adopt_csr(
-        network.graph, CSRAdjacency.from_arrays(indptr, indices, order=order)
-    )
-    return network
-
-
 # -- the sweep engine (run_point) -------------------------------------------------
 
 
@@ -756,87 +685,6 @@ def execute_shm_chunk(task: ShmTask) -> dict[str, "AggregateStats"]:
     )
 
 
-# -- the stream-ensemble engine ---------------------------------------------------
-
-
-class _StreamContext:
-    """Worker-side decoded state of one ``run_stream_ensemble`` fan-out."""
-
-    __slots__ = (
-        "settings",
-        "spec",
-        "num_requests",
-        "bit_generator",
-        "seed_block",
-        "arrays",
-        "_network",
-        "_has_network",
-    )
-
-    def __init__(self, meta: dict, arrays: Mapping[str, np.ndarray]):
-        self.settings = meta["settings"]
-        self.spec = meta["spec"]
-        self.num_requests = meta["num_requests"]
-        self.bit_generator = meta["bit_generator"]
-        self.seed_block = meta["seed_block"]
-        self.arrays = arrays
-        self._network = None
-        self._has_network = "net_indptr" in arrays
-
-    def network(self) -> "MECNetwork | None":
-        if not self._has_network:
-            return None
-        if self._network is None:
-            self._network = network_from_arrays(self.arrays)
-        return self._network
-
-    def seed_at(self, index: int) -> np.random.SeedSequence:
-        return seed_sequence_at(self.seed_block, self.arrays, index)
-
-
-def publish_stream_ensemble(
-    settings,
-    spec,
-    num_requests: int,
-    seeds: Sequence[np.random.SeedSequence],
-    *,
-    bit_generator: str = "PCG64",
-    network: "MECNetwork | None" = None,
-) -> SharedState:
-    """Publish a stream ensemble's shared state (network published once)."""
-    block, arrays = encode_seed_sequences(seeds)
-    if network is not None:
-        arrays = {**arrays, **network_arrays(network)}
-    return publish_payload(
-        "stream",
-        arrays,
-        {
-            "settings": settings,
-            "spec": spec,
-            "num_requests": num_requests,
-            "bit_generator": bit_generator,
-            "seed_block": block,
-        },
-    )
-
-
-def execute_shm_stream(task: ShmTask):
-    """Worker entry point: run one independent request stream of an ensemble."""
-    from repro.experiments.batch import run_request_stream
-    from repro.util.rng import generator_from_seed
-
-    context: _StreamContext = context_for(task.segment, "stream", _StreamContext)  # type: ignore[assignment]
-    return run_request_stream(
-        context.settings,
-        context.spec.build(),
-        num_requests=context.num_requests,
-        rng=generator_from_seed(
-            context.seed_at(task.index), bit_generator=context.bit_generator
-        ),
-        network=context.network(),
-    )
-
-
 __all__ = [
     "SHM_ENV",
     "SEGMENT_PREFIX",
@@ -853,12 +701,8 @@ __all__ = [
     "context_for",
     "encode_seed_sequences",
     "execute_shm_chunk",
-    "execute_shm_stream",
-    "network_arrays",
-    "network_from_arrays",
     "publish",
     "publish_payload",
-    "publish_stream_ensemble",
     "publish_sweep",
     "seed_sequence_at",
     "shm_enabled",

@@ -257,7 +257,7 @@ class FailureInjector:
             return []
         affected = self._apply_outage(process)
         now = self.queue.now
-        self.queue.schedule(
+        self.queue.push(
             now + process.sample_downtime(self.rng), (CLOUDLET_RECOVER, v)
         )
         return affected
@@ -268,7 +268,7 @@ class FailureInjector:
             return []
         self._apply_recovery(process)
         now = self.queue.now
-        self.queue.schedule(now + process.sample_uptime(self.rng), (CLOUDLET_FAIL, v))
+        self.queue.push(now + process.sample_uptime(self.rng), (CLOUDLET_FAIL, v))
         # recovery changes no chain's live set (lost instances stay lost);
         # it only returns capacity that pending repairs can now use
         return []

@@ -243,7 +243,7 @@ class ResilientStreamController:
         if chain.name in self._pending_repairs:
             return
         self._pending_repairs.add(chain.name)
-        self.queue.schedule(now + delay, (REPAIR_RETRY, chain.name))
+        self.queue.push(now + delay, (REPAIR_RETRY, chain.name))
 
     def _attempt_repair(self, chain: CommittedChain, now: float) -> None:
         outcome = self.repairer.repair(chain, now)
@@ -337,7 +337,7 @@ class ResilientStreamController:
         span = self.config.horizon * self.config.arrival_span
         for index in range(num_requests):
             arrival = span * (index + 1) / max(1, num_requests)
-            self.queue.schedule(arrival, (ARRIVAL, index))
+            self.queue.push(arrival, (ARRIVAL, index))
         self.injector.start()
         self._before_run()
 

@@ -1,10 +1,11 @@
 """Streaming admission service for the request stream (ROADMAP north star).
 
 Turns the offline request-stream controller into a long-running admission
-service: arrivals and departures are driven on a clock through a
-deterministic event queue (:mod:`repro.service.events`), concurrent
-arrivals are coalesced into admission batches whose neighborhood-disjoint
-waves share one warm-started round loop
+service: arrivals are replayed on a virtual clock, departures fire from
+the simulation engine's deterministic
+:class:`~repro.simulation.engine.EventQueue`, concurrent arrivals are
+coalesced into admission batches whose neighborhood-disjoint waves share
+one warm-started round loop
 (:meth:`repro.algorithms.heuristic.MatchingHeuristic.solve_wave`, called
 from :mod:`repro.service.batch`), capacity lives in one
 :class:`~repro.netmodel.capacity.CapacityLedger` whose per-node journals
@@ -17,19 +18,16 @@ state) as admitting the same requests one at a time in arrival order.
 """
 
 from repro.service.batch import SERVICE_COST_CAP, AdmissionRecord, BatchAdmissionEngine
-from repro.service.events import ARRIVE, DEPART, ServiceEvent, ServiceEventQueue
+from repro.service.events import ServiceEventQueue
 from repro.service.server import AdmissionService, ReplayStats, replay_trace
 from repro.service.trace import TracePhase, flash_crowd_phases, synthetic_trace
 
 __all__ = [
-    "ARRIVE",
-    "DEPART",
     "AdmissionRecord",
     "AdmissionService",
     "BatchAdmissionEngine",
     "ReplayStats",
     "SERVICE_COST_CAP",
-    "ServiceEvent",
     "ServiceEventQueue",
     "TracePhase",
     "flash_crowd_phases",

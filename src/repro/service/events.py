@@ -1,137 +1,13 @@
-"""Deterministic event queue for the streaming admission service.
+"""The admission service's event-queue name, bound to the one event queue.
 
-The simulation engine's :class:`repro.simulation.engine.EventQueue` fixed
-same-timestamp ordering with a stable sort key over stringified payloads
-(the PR 6 stable-ordering fix).  The service queue needs the same guarantee
--- identical traces must replay identically regardless of heap internals --
-but with service-specific semantics:
-
-* At equal timestamps, **departures fire before arrivals** (priority 0 vs
-  1).  A request whose holding time expires exactly when another arrives
-  must free its capacity first, or admission decisions would depend on
-  insertion order.
-* Within the same (time, priority) class, events pop in FIFO insertion
-  order via a monotonically increasing sequence number -- the seq-numbered
-  heap of the satellite task.  Python's heapq is not stable on its own;
-  the seq field makes it so without ever comparing payloads.
+:func:`repro.service.server.replay_trace` queues its departures on
+:class:`repro.simulation.engine.EventQueue` (time order, FIFO among equal
+times).  The benchmark harness times ``ServiceEventQueue.push`` and
+``ServiceEventQueue.pop`` by this name (``bench/layers.py``), so the name
+stays bound to that class until a benchmark change moves those wrappers
+and deletes this module.
 """
 
-from __future__ import annotations
+from repro.simulation.engine import EventQueue as ServiceEventQueue
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterable
-
-from repro.util.errors import ValidationError
-
-#: Event kinds, ordered: at one timestamp all departures precede all arrivals.
-DEPART = 0
-ARRIVE = 1
-
-_KIND_NAMES = {DEPART: "depart", ARRIVE: "arrive"}
-
-
-@dataclass(order=True, frozen=True)
-class ServiceEvent:
-    """One scheduled service event; ordering ignores the payload entirely."""
-
-    time: float
-    priority: int
-    sequence: int
-    payload: Any = field(compare=False)
-
-    @property
-    def kind(self) -> str:
-        return _KIND_NAMES.get(self.priority, str(self.priority))
-
-
-class ServiceEventQueue:
-    """Min-heap of :class:`ServiceEvent` with deterministic tie-breaking.
-
-    Total order: ``(time, priority, sequence)``.  ``priority`` is
-    :data:`DEPART` (0) or :data:`ARRIVE` (1); ``sequence`` is assigned at
-    push time, so equal ``(time, priority)`` events pop in insertion order.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[ServiceEvent] = []
-        self._counter = itertools.count()
-        self._now = float("-inf")
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def now(self) -> float:
-        """Timestamp of the most recently popped event."""
-        return self._now
-
-    def push(self, time: float, priority: int, payload: Any) -> ServiceEvent:
-        if priority not in _KIND_NAMES:
-            raise ValidationError(
-                f"priority must be DEPART (0) or ARRIVE (1), got {priority}"
-            )
-        if time < self._now - 1e-12:
-            raise ValidationError(
-                f"event at t={time} scheduled in the past (now={self._now})"
-            )
-        event = ServiceEvent(float(time), priority, next(self._counter), payload)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def push_arrival(self, time: float, payload: Any) -> ServiceEvent:
-        return self.push(time, ARRIVE, payload)
-
-    def push_departure(self, time: float, payload: Any) -> ServiceEvent:
-        return self.push(time, DEPART, payload)
-
-    def schedule_batch(
-        self, events: Iterable[tuple[float, int, Any]]
-    ) -> list[ServiceEvent]:
-        """Push many ``(time, priority, payload)`` at once, deterministically.
-
-        Mirrors the simulation engine's ``schedule_batch``: the batch is
-        sorted by a stable, payload-independent key *before* sequence
-        numbers are assigned, so the same set of events yields the same
-        queue no matter how the caller ordered the iterable.
-        """
-        staged = sorted(
-            events,
-            key=lambda e: (e[0], e[1], _stable_payload_key(e[2])),
-        )
-        return [self.push(time, priority, payload) for time, priority, payload in staged]
-
-    def peek(self) -> ServiceEvent | None:
-        return self._heap[0] if self._heap else None
-
-    def pop(self) -> ServiceEvent:
-        if not self._heap:
-            raise ValidationError("pop from an empty ServiceEventQueue")
-        event = heapq.heappop(self._heap)
-        self._now = event.time
-        return event
-
-    def pop_until(self, time: float, priority: int | None = None) -> list[ServiceEvent]:
-        """Pop every event with ``event.time <= time`` (optionally one kind).
-
-        With ``priority`` given, stops at the first due event of a different
-        kind -- used by the replay driver to drain the departures due before
-        an admission window without disturbing queued arrivals.
-        """
-        out: list[ServiceEvent] = []
-        while self._heap:
-            head = self._heap[0]
-            if head.time > time:
-                break
-            if priority is not None and head.priority != priority:
-                break
-            out.append(self.pop())
-        return out
-
-
-def _stable_payload_key(payload: Any) -> tuple[str, ...]:
-    """Payload sort key for batch scheduling: repr parts, never identities."""
-    if isinstance(payload, tuple):
-        return tuple(repr(part) for part in payload)
-    return (repr(payload),)
+__all__ = ["ServiceEventQueue"]

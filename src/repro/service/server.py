@@ -3,12 +3,12 @@
 Two entry points share the :class:`~repro.service.batch.BatchAdmissionEngine`:
 
 * :func:`replay_trace` -- the synchronous driver the benchmark and CLI use.
-  It walks a trace on a virtual clock through a
-  :class:`~repro.service.events.ServiceEventQueue`, coalesces the arrivals
-  of each admission *window* into one batch, fires the departures due
-  before each window, samples queue depth, records per request the wall
-  time of the ``admit_batch`` call that decided it, and runs the per-node
-  ledger refold audit every ``audit_every`` batches.
+  It walks a trace on a virtual clock, coalesces the arrivals of each
+  admission *window* into one batch, fires the departures due before each
+  window from a :class:`~repro.simulation.engine.EventQueue`, samples
+  queue depth, records per request the wall time of the ``admit_batch``
+  call that decided it, and runs the per-node ledger refold audit every
+  ``audit_every`` batches.
 * :class:`AdmissionService` -- a long-running asyncio service: a bounded
   admission queue applies backpressure (a full queue sheds the arrival and
   bumps the shed counter), a batcher task drains whatever is queued each
@@ -25,18 +25,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from repro.chaos.audit import audit_sharded
-from repro.experiments.settings import ExperimentSettings
-from repro.netmodel.capacity import CapacityLedger
-from repro.netmodel.graph import MECNetwork
-from repro.netmodel.vnf import Request, VNFCatalog
+from repro.netmodel.vnf import Request
 from repro.resilience.metrics import MetricsTracker, RequestOutcome
 from repro.service.batch import AdmissionRecord, BatchAdmissionEngine
-from repro.service.events import DEPART, ServiceEventQueue
+from repro.simulation.engine import EventQueue
 from repro.util.errors import ValidationError
-from repro.util.rng import RandomState, as_rng, generator_from_seed, spawn_seed_sequences
 
 
 @dataclass
@@ -91,11 +85,11 @@ def replay_trace(
     if window <= 0:
         raise ValidationError(f"window must be > 0, got {window}")
     stats = ReplayStats()
-    queue = ServiceEventQueue()
+    queue = EventQueue()
     started = time.perf_counter()
 
     def fire_departures(until: float) -> None:
-        for event in queue.pop_until(until, priority=DEPART):
+        for event in queue.drain_until(until):
             engine.depart(event.payload)
 
     pending: list[tuple[float, Request, float, str]] = []
@@ -139,7 +133,7 @@ def replay_trace(
                 )
             if record.admitted:
                 stats.admitted += 1
-                queue.push_departure(max(close_time, arrived + holding), record.name)
+                queue.push(max(close_time, arrived + holding), record.name)
         if keep_records:
             stats.records.extend(records)
         pending = []
@@ -163,174 +157,6 @@ def replay_trace(
 
     stats.wall_seconds = time.perf_counter() - started
     return stats
-
-
-# -- replica ensembles --------------------------------------------------------------
-#
-# One replay is inherently serial (every admission depends on the live
-# ledger), but an operator estimating shed/acceptance *distributions* runs
-# many independent replicas of the same service -- same network, fresh
-# ledger, fresh trace seed per replica.  That is the service batch path's
-# process fan-out, and the topology is exactly the shared immutable state
-# the zero-pickle layer (:mod:`repro.parallel.shm`) exists for: with
-# ``REPRO_SHM=1`` the network crosses the process boundary once, as CSR
-# arrays in a named segment, instead of once per replica task.
-
-
-@dataclass(frozen=True)
-class ReplayReplicaTask:
-    """One service replica, fully described by value (the ``REPRO_SHM=0``
-    work unit -- note the per-task pickled network copy)."""
-
-    settings: ExperimentSettings
-    num_requests: int
-    seed: np.random.SeedSequence
-    window: float
-    holding_time: float
-    audit_every: int
-    radius: int
-    mode: str
-    queue_limit: int
-    bit_generator: str = "PCG64"
-    network: MECNetwork | None = None
-
-
-def _run_replica(task: ReplayReplicaTask, network: MECNetwork) -> ReplayStats:
-    """Run one replica: fresh catalog, trace, ledger, and engine RNG."""
-    from repro.service.trace import flash_crowd_phases, synthetic_trace
-
-    trace_seed, engine_seed = task.seed.spawn(2)
-    trace_rng = generator_from_seed(trace_seed, bit_generator=task.bit_generator)
-    catalog = VNFCatalog.random(
-        num_types=task.settings.num_vnf_types,
-        demand_range=task.settings.demand_range,
-        reliability_range=task.settings.reliability_range,
-        rng=trace_rng,
-    )
-    engine = BatchAdmissionEngine(
-        network,
-        ledger=CapacityLedger({v: network.capacity(v) for v in network.cloudlets}),
-        radius=task.radius,
-        mode=task.mode,
-        queue_limit=task.queue_limit,
-        rng=generator_from_seed(engine_seed, bit_generator=task.bit_generator),
-    )
-    trace = synthetic_trace(
-        flash_crowd_phases(task.num_requests),
-        catalog,
-        task.settings,
-        rng=trace_rng,
-        holding_time=task.holding_time,
-    )
-    return replay_trace(
-        engine, trace, window=task.window, audit_every=task.audit_every
-    )
-
-
-def _execute_replica(task: ReplayReplicaTask) -> ReplayStats:
-    """Classic worker entry point (network pickled into every task)."""
-    return _run_replica(task, task.network)
-
-
-def _execute_shm_replica(task) -> ReplayStats:
-    """Zero-pickle worker entry point: attach once, rebuild the network
-    from the segment's CSR arrays, run the replica the task indexes."""
-    from repro.parallel import shm
-
-    def build(meta: dict, arrays) -> tuple:
-        return (meta, shm.network_from_arrays(arrays))
-
-    meta, network = shm.context_for(task.segment, "replay", build)
-    replica = ReplayReplicaTask(
-        settings=meta["settings"],
-        num_requests=meta["num_requests"],
-        seed=shm.seed_sequence_at(meta["seed_block"], shm.attach_cached(task.segment).arrays, task.index),
-        window=meta["window"],
-        holding_time=meta["holding_time"],
-        audit_every=meta["audit_every"],
-        radius=meta["radius"],
-        mode=meta["mode"],
-        queue_limit=meta["queue_limit"],
-        bit_generator=meta["bit_generator"],
-    )
-    return _run_replica(replica, network)
-
-
-def replay_replica_ensemble(
-    network: MECNetwork,
-    settings: ExperimentSettings,
-    num_requests: int,
-    replicas: int = 4,
-    rng: RandomState = None,
-    jobs: int | None = None,
-    window: float = 1.0,
-    holding_time: float = 50.0,
-    audit_every: int = 0,
-    radius: int = 1,
-    mode: str = "batched",
-    queue_limit: int = 64,
-) -> list[ReplayStats]:
-    """Replay ``replicas`` independent flash-crowd traces on one network.
-
-    Every replica shares the (immutable) topology but owns a fresh
-    ledger, trace seed, and engine RNG -- embarrassingly parallel, and
-    bit-identical in its admission counts for every ``jobs`` value and
-    both ``REPRO_SHM`` settings (wall-clock fields like ``wall_seconds``
-    naturally differ between processes).  Results come back in replica
-    order.
-    """
-    if replicas < 1:
-        raise ValidationError(f"replicas must be >= 1, got {replicas}")
-    from repro.parallel import shm
-    from repro.parallel.executor import resolve_jobs, shared_executor
-
-    gen = as_rng(rng)
-    seeds = spawn_seed_sequences(gen, replicas)
-    bit_generator = type(gen.bit_generator).__name__
-
-    def task_for(seed, net) -> ReplayReplicaTask:
-        return ReplayReplicaTask(
-            settings=settings,
-            num_requests=num_requests,
-            seed=seed,
-            window=window,
-            holding_time=holding_time,
-            audit_every=audit_every,
-            radius=radius,
-            mode=mode,
-            queue_limit=queue_limit,
-            bit_generator=bit_generator,
-            network=net,
-        )
-
-    num_jobs = resolve_jobs(jobs)
-    if num_jobs <= 1 or replicas == 1:
-        return [_run_replica(task_for(seed, None), network) for seed in seeds]
-    if shm.shm_enabled():
-        block, arrays = shm.encode_seed_sequences(seeds)
-        state = shm.publish_payload(
-            "replay",
-            {**arrays, **shm.network_arrays(network)},
-            {
-                "settings": settings,
-                "num_requests": num_requests,
-                "seed_block": block,
-                "window": window,
-                "holding_time": holding_time,
-                "audit_every": audit_every,
-                "radius": radius,
-                "mode": mode,
-                "queue_limit": queue_limit,
-                "bit_generator": bit_generator,
-            },
-        )
-        try:
-            tasks = [shm.ShmTask(state.name, index) for index in range(replicas)]
-            return shared_executor(num_jobs).map_ordered(_execute_shm_replica, tasks)
-        finally:
-            state.unlink()
-    tasks = [task_for(seed, network) for seed in seeds]
-    return shared_executor(num_jobs).map_ordered(_execute_replica, tasks)
 
 
 class AdmissionService:

@@ -1,9 +1,11 @@
 """A minimal discrete-event engine: time-ordered event queue.
 
 Deliberately tiny -- a binary heap of ``(time, sequence, payload)`` with
-stable FIFO ordering among simultaneous events.  The chain simulator's
-event payloads are plain tuples; no process framework is needed at this
-scale, and keeping the engine dumb makes its behaviour trivially testable.
+stable FIFO ordering among simultaneous events.  It is the one event queue
+of the package: the chain simulator, the resilience stream and its failure
+injector, the chaos campaign and the admission service's trace replay all
+push onto it.  No process framework is needed at this scale, and keeping
+the engine dumb makes its behaviour trivially testable.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def stable_event_key(time: float, payload: Any) -> tuple:
     if isinstance(payload, tuple) and payload:
         kind = str(payload[0])
         rest = tuple(repr(part) for part in payload[1:])
-    else:  # pragma: no cover - payloads are tuples everywhere in this repo
+    else:  # pragma: no cover - batched payloads are tuples everywhere in this repo
         kind = type(payload).__name__
         rest = (repr(payload),)
     return (time, kind, rest)
@@ -68,7 +70,7 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def schedule(self, time: float, payload: Any) -> ScheduledEvent:
+    def push(self, time: float, payload: Any) -> ScheduledEvent:
         """Queue ``payload`` to fire at ``time`` (>= current time)."""
         if time < self._now - 1e-12:
             raise ValidationError(
@@ -90,7 +92,7 @@ class EventQueue:
         at once and any two could share a timestamp.
         """
         ordered = sorted(events, key=lambda ev: stable_event_key(ev[0], ev[1]))
-        return [self.schedule(time, payload) for time, payload in ordered]
+        return [self.push(time, payload) for time, payload in ordered]
 
     def pop(self) -> ScheduledEvent:
         """Remove and return the earliest event, advancing ``now``."""

@@ -197,7 +197,7 @@ def simulate_solution(
     for idx, inst in enumerate(instances):
         t_fail = inst.sample_uptime(gen)
         if math.isfinite(t_fail):
-            queue.schedule(t_fail, ("fail", idx))
+            queue.push(t_fail, ("fail", idx))
 
     def nearest_live(position: int, from_cloudlet: int) -> int | None:
         best, best_hops = None, math.inf
@@ -215,7 +215,7 @@ def simulate_solution(
         state.switch_started = now
         state.epoch += 1
         delay = switch_delay(state.serving_cloudlet, instances[target].cloudlet)
-        queue.schedule(now + delay, ("switched", position, target, state.epoch))
+        queue.push(now + delay, ("switched", position, target, state.epoch))
 
     # accounting
     uptime = downtime_dead = downtime_switch = 0.0
@@ -250,7 +250,7 @@ def simulate_solution(
             idx = event.payload[1]
             inst = instances[idx]
             inst.up = False
-            queue.schedule(now + inst.sample_downtime(gen), ("repair", idx))
+            queue.push(now + inst.sample_downtime(gen), ("repair", idx))
             state = states[inst.position]
             if state.status == _SERVING and state.serving_instance == idx:
                 target = nearest_live(inst.position, state.serving_cloudlet)
@@ -273,7 +273,7 @@ def simulate_solution(
             inst.up = True
             t_fail = inst.sample_uptime(gen)
             if math.isfinite(t_fail):
-                queue.schedule(now + t_fail, ("fail", idx))
+                queue.push(now + t_fail, ("fail", idx))
             state = states[inst.position]
             if state.status == _DEAD:
                 begin_switchover(inst.position, idx, now)

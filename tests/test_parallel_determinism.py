@@ -11,6 +11,7 @@ processes inherit through the environment.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.baselines import GreedyGain, NoAugmentation
@@ -22,6 +23,7 @@ from repro.experiments.batch import run_stream_ensemble
 from repro.experiments.figures import run_figure1, run_figure3
 from repro.experiments.runner import run_point, run_trial
 from repro.experiments.settings import ExperimentSettings
+from repro.experiments.workload import make_network
 from repro.util.timing import FAKE_CLOCK_ENV
 
 SETTINGS = ExperimentSettings(num_aps=30, cloudlet_fraction=0.2, trials=3)
@@ -186,6 +188,27 @@ class TestStreamEnsembleDifferential:
         )
         serial = run_stream_ensemble(jobs=1, **kwargs)
         parallel = run_stream_ensemble(jobs=2, **kwargs)
+        assert [r.outcomes for r in serial] == [r.outcomes for r in parallel]
+        assert [r.final_utilisation for r in serial] == [
+            r.final_utilisation for r in parallel
+        ]
+
+    def test_stream_ensemble_shared_network_bit_identical(self):
+        """A shared ``network=`` pickled into every worker task replays the
+        serial streams exactly."""
+        network = make_network(SETTINGS, np.random.default_rng(5))
+        serial, parallel = (
+            run_stream_ensemble(
+                SETTINGS,
+                MatchingHeuristic(),
+                num_requests=5,
+                streams=3,
+                rng=31,
+                jobs=jobs,
+                network=network,
+            )
+            for jobs in (1, 2)
+        )
         assert [r.outcomes for r in serial] == [r.outcomes for r in parallel]
         assert [r.final_utilisation for r in serial] == [
             r.final_utilisation for r in parallel

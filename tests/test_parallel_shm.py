@@ -1,10 +1,11 @@
 """Zero-pickle shared-memory distribution: payloads, lifecycle, identity.
 
-Three contracts from ``docs/parallel.md``:
+Only the ``run_point`` sweep uses the segments.  Three contracts from
+``docs/parallel.md``:
 
-1. **Bit-identity.**  ``REPRO_SHM`` is invisible in the numbers: every
-   engine (sweep, stream ensemble, service replay replicas) returns the
-   same bits under ``REPRO_SHM=0`` and ``=1`` for jobs 1/2/4.
+1. **Bit-identity.**  ``REPRO_SHM`` is invisible in the numbers: the
+   sweep returns the same bits under ``REPRO_SHM=0`` and ``=1`` for
+   jobs 1/2/4.
 2. **Payload budget.**  With shm on, a task pickles to a constant ~60
    bytes regardless of sweep size -- the regression guard pins it under
    :data:`repro.parallel.shm.SHM_TASK_BYTE_BUDGET`.
@@ -29,11 +30,8 @@ import pytest
 from repro.algorithms.base import AugmentationAlgorithm
 from repro.algorithms.baselines import NoAugmentation
 from repro.algorithms.heuristic import MatchingHeuristic
-from repro.experiments.batch import run_stream_ensemble
 from repro.experiments.runner import run_point
 from repro.experiments.settings import ExperimentSettings
-from repro.experiments.workload import make_network
-from repro.kernels.csr import csr_adjacency
 from repro.parallel import shm
 from repro.parallel.executor import (
     PayloadStats,
@@ -41,7 +39,6 @@ from repro.parallel.executor import (
     shared_executor,
 )
 from repro.parallel.registry import register_algorithm
-from repro.service.server import replay_replica_ensemble
 from repro.util.errors import ValidationError
 from repro.util.timing import FAKE_CLOCK_ENV
 
@@ -291,79 +288,10 @@ class TestShmDifferential:
         for name in off:
             assert off[name] == on[name], name
 
-    def test_stream_ensemble_shared_network_bit_identical(self, monkeypatch):
-        network = make_network(SETTINGS, np.random.default_rng(5))
-        reports = []
-        for enabled in (False, True):
-            set_shm(monkeypatch, enabled)
-            reports.append(
-                run_stream_ensemble(
-                    SETTINGS,
-                    MatchingHeuristic(),
-                    num_requests=5,
-                    streams=3,
-                    rng=31,
-                    jobs=2,
-                    network=network,
-                )
-            )
-        off, on = reports
-        assert [r.outcomes for r in off] == [r.outcomes for r in on]
-        assert [r.final_utilisation for r in off] == [
-            r.final_utilisation for r in on
-        ]
-
-    def test_replay_replicas_bit_identical(self, monkeypatch):
-        network = make_network(SETTINGS, np.random.default_rng(5))
-        key = lambda stats: [
-            (s.requests, s.admitted, s.shed, s.windows, s.audits) for s in stats
-        ]
-        baseline = None
-        for enabled in (False, True):
-            set_shm(monkeypatch, enabled)
-            for jobs in (1, 2):
-                stats = replay_replica_ensemble(
-                    network,
-                    SETTINGS,
-                    num_requests=20,
-                    replicas=3,
-                    rng=13,
-                    jobs=jobs,
-                    audit_every=2,
-                )
-                if baseline is None:
-                    baseline = key(stats)
-                assert key(stats) == baseline, (enabled, jobs)
-
     def test_invalid_switch_value_raises(self, monkeypatch):
         monkeypatch.setenv(shm.SHM_ENV, "yes")
         with pytest.raises(ValidationError, match="must be 0 or 1"):
             shm.shm_enabled()
-
-
-# -- network sharing --------------------------------------------------------------
-
-
-class TestNetworkSharing:
-    def test_round_trip_preserves_topology_and_capacities(self):
-        network = make_network(SETTINGS, np.random.default_rng(8))
-        rebuilt = shm.network_from_arrays(shm.network_arrays(network))
-        assert list(rebuilt.graph.nodes) == list(network.graph.nodes)
-        assert set(rebuilt.graph.edges) == set(network.graph.edges)
-        assert rebuilt.capacities == network.capacities
-        assert rebuilt.cloudlets == network.cloudlets
-        # Per-node adjacency iteration order must match too -- downstream
-        # draws depend on it.
-        for v in network.graph.nodes:
-            assert list(rebuilt.graph.adj[v]) == list(network.graph.adj[v])
-
-    def test_rebuilt_network_adopts_the_shared_csr(self):
-        network = make_network(SETTINGS, np.random.default_rng(8))
-        arrays = shm.network_arrays(network)
-        rebuilt = shm.network_from_arrays(arrays)
-        adopted = csr_adjacency(rebuilt.graph)
-        assert np.shares_memory(adopted.indptr, arrays["net_indptr"])
-        assert np.shares_memory(adopted.indices, arrays["net_indices"])
 
 
 # -- lifecycle under failure ------------------------------------------------------
