@@ -1,7 +1,7 @@
-"""Matching backends: cross-check, consume replay, and online delta replay.
+"""Matching backends: cross-check and consume replay.
 
 Algorithm 2's inner loop is a min-cost maximum matching; this bench covers
-the three backends of :mod:`repro.matching.mincost` three ways:
+the three backends of :mod:`repro.matching.mincost` two ways:
 
 * **cross-check grid** -- every backend solves the same heuristic-shaped
   instances; cardinality and total cost must agree exactly (the exactness
@@ -18,22 +18,13 @@ the three backends of :mod:`repro.matching.mincost` three ways:
   pass, min-of-reps reported.  This is the sparse backend's home turf:
   every real-matched row re-augments every round (matched items are
   consumed), so the delta keeps almost nothing and scipy/sparse C kernels
-  win on wall-clock -- recorded honestly below.
-* **online perturbation replay** -- the workload the delta core exists
-  for: one base round graph followed by a stream of small events
-  (cloudlet failures, placed-instance failures, recovered capacity
-  returning items and rows) re-solved after each event.  The warm solver
-  keeps almost every pair and re-augments a handful of orphans per event
-  while scipy/sparse pay a full solve; here ``warm`` must beat both.
-  Serving semantics: the base-round solve is each pass's *untimed*
-  bootstrap (a deployed system already holds the current matching when an
-  event arrives) and only the event re-solves are timed, for every
-  backend; warm reps restart from a ``snapshot()`` of the bootstrapped
-  state so each rep reconciles identical warm state.
-  Identity is asserted against the dense reference on every event graph
-  before timing, and the solver's :class:`~repro.matching.warmstart.WarmStats`
-  counters (rows kept / re-augmented, quick matches, heap pops, dual
-  repairs) are printed and recorded alongside the timings.
+  win on wall-clock -- recorded honestly below.  The warm solver's
+  :class:`~repro.matching.warmstart.WarmStats` counters (rows kept /
+  re-augmented, quick matches, heap pops, free-row cuts) are recorded
+  alongside the timings.
+
+The warm solver takes only shrinking round sequences (a grown round
+raises), which is what Algorithm 2 produces and what the replay feeds it.
 
 Run standalone for a quick smoke check (used by CI)::
 
@@ -220,20 +211,16 @@ def _replay_dense(sequence, backend):
     ]
 
 
-def _replay_warm(problem, sequence, delta=False, solver=None):
-    """One pass over ``sequence`` on a warm solver, duals carried across rounds.
+def _replay_warm(problem, sequence, delta=False):
+    """One cache-cold pass over ``sequence`` on a fresh warm solver.
 
-    With ``delta=True`` the persistent matching is carried too
+    Duals are carried across rounds; with ``delta=True`` the persistent
+    matching is carried too
     (:meth:`~repro.matching.warmstart.DualReusingSolver.solve_round_delta`
-    with each round's universe ``edge_idx``); the solver is returned next
-    to the matchings so callers can read its ``stats`` counters.  By default
-    the pass is cache-cold (a fresh dual+matching store); passing ``solver``
-    continues from that solver's live state instead -- the online-serving
-    replay uses this with :meth:`snapshot`/:meth:`restore` to re-run the
-    event stream from an identical warm checkpoint every rep.
+    with each round's universe ``edge_idx``).  The solver is returned next
+    to the matchings so callers can read its ``stats`` counters.
     """
-    if solver is None:
-        solver = warm_solver_for(problem, problem.ledger())
+    solver = warm_solver_for(problem, problem.ledger())
     if delta:
         matchings = [
             solver.solve_round_delta(
@@ -315,168 +302,6 @@ def run_replay(shapes=FIG3_SHAPES, reps=REPLAY_REPS):
     return points
 
 
-# -- online perturbation replay ----------------------------------------------------
-
-#: Perturbation events per shape in the online replay.
-ONLINE_EVENTS = 60
-
-#: (weights sum to 1) event mix: placed-instance failures dominate, with
-#: cloudlet failures and capacity recovery (items / rows returning) mixed in.
-_EVENT_KINDS = ("fail_cols", "fail_row", "return_cols", "return_row")
-_EVENT_WEIGHTS = (0.45, 0.15, 0.3, 0.1)
-
-
-def build_online_sequence(base_round, n_events, seed):
-    """A deterministic stream of perturbed round graphs from one base round.
-
-    Starting from the captured base graph, each event either *fails* a
-    cloudlet row, *fails* 1-3 currently-placed (matched) item columns,
-    or *returns* previously failed columns / rows -- the lifecycle
-    re-embedding and failure-recovery workload from the paper's mobile
-    edge-cloud setting.  Matched columns are tracked with the dense scipy
-    reference so the stream is backend-independent; every graph keeps the
-    6-tuple shape of :func:`capture_round_graphs` (``edge_idx`` filtered
-    from the base round's universe positions).
-    """
-    rows0, cols0, er0, ec0, costs0, eidx0 = base_round
-    costs0 = np.asarray(costs0, dtype=float)
-    rng = np.random.default_rng(seed)
-    n0, m0 = len(rows0), len(cols0)
-    row_alive = np.ones(n0, dtype=bool)
-    col_alive = np.ones(m0, dtype=bool)
-    workspace = MatchingWorkspace()
-
-    def snapshot():
-        row_map = np.cumsum(row_alive) - 1
-        col_map = np.cumsum(col_alive) - 1
-        mask = row_alive[er0] & col_alive[ec0]
-        return (
-            [g for g, a in zip(rows0, row_alive) if a],
-            cols0[col_alive],
-            row_map[er0[mask]].astype(np.intp),
-            col_map[ec0[mask]].astype(np.intp),
-            costs0[mask].tolist(),
-            eidx0[mask],
-        )
-
-    sequence = [snapshot()]
-    matched_cols: set[int] = set()
-
-    def track(graph):
-        rows, cols, er, ec, costs, _ = graph
-        result = min_cost_max_matching_arrays(
-            len(rows), len(cols), er, ec, costs,
-            backend="scipy", workspace=workspace,
-        )
-        matched_cols.clear()
-        matched_cols.update(int(cols[e.col]) for e in result)
-
-    track(sequence[0])
-    col_pos = {int(j): p for p, j in enumerate(cols0)}
-    for _ in range(n_events - 1):
-        kind = rng.choice(_EVENT_KINDS, p=_EVENT_WEIGHTS)
-        if kind == "fail_cols":
-            pool = [col_pos[j] for j in sorted(matched_cols) if col_alive[col_pos[j]]]
-            if not pool:
-                kind = "return_cols"
-            else:
-                take = rng.choice(pool, size=min(len(pool), int(rng.integers(1, 4))),
-                                  replace=False)
-                col_alive[take] = False
-        if kind == "fail_row":
-            pool = np.nonzero(row_alive)[0]
-            if pool.size <= max(2, n0 // 2):  # keep the instance meaningfully alive
-                kind = "return_row"
-            else:
-                row_alive[int(rng.choice(pool))] = False
-        if kind == "return_cols":
-            pool = np.nonzero(~col_alive)[0]
-            if pool.size:
-                back = rng.choice(pool, size=min(pool.size, int(rng.integers(1, 4))),
-                                  replace=False)
-                col_alive[back] = True
-        if kind == "return_row":
-            pool = np.nonzero(~row_alive)[0]
-            if pool.size:
-                row_alive[int(rng.choice(pool))] = True
-        graph = snapshot()
-        if not graph[4]:  # a graph with no edges times nothing; skip the event
-            continue
-        sequence.append(graph)
-        track(graph)
-    return sequence
-
-
-def run_online_replay(shapes=FIG3_SHAPES, reps=REPLAY_REPS, n_events=ONLINE_EVENTS):
-    """Identity-check, then time each backend over the perturbation stream.
-
-    Online-serving semantics: a deployed system already holds the base
-    round's matching when an event arrives, so the base solve is each
-    pass's *untimed* bootstrap and only the event re-solves are timed --
-    for every backend.  scipy/sparse carry no state across rounds (their
-    per-event cost is the same either way); the warm solver bootstraps
-    once, then every timed rep is :meth:`restore`\\ d to that
-    :meth:`snapshot` so it reconciles the same event stream from the same
-    warm state.
-    """
-    points = []
-    for label, spec in shapes:
-        problem = build_instance(spec)
-        base = capture_round_graphs(problem)[0]
-        sequence = build_online_sequence(base, n_events, seed=spec.seed + 17)
-        events = sequence[1:]
-
-        # Identity before timing, per event graph, against the dense
-        # reference -- this is where resurrection events prove the delta
-        # engine's repair path exact, not just fast.  Checked on the full
-        # stream (covering warm's cold first delta round) and again on the
-        # snapshot/restore serving path that the timing loop uses.
-        reference = _matching_summary(_replay_dense(sequence, "scipy"))
-        assert _matching_summary(_replay_dense(sequence, "sparse")) == reference
-        warm_matchings, _ = _replay_warm(problem, sequence, delta=True)
-        assert _matching_summary(warm_matchings) == reference
-
-        warm_solver = warm_solver_for(problem, problem.ledger())
-        _replay_warm(problem, sequence[:1], delta=True, solver=warm_solver)
-        state = warm_solver.snapshot()
-        warm_solver.stats.reset()  # count event-serving work only
-        served, _ = _replay_warm(problem, events, delta=True, solver=warm_solver)
-        assert _matching_summary(served) == reference[1:]
-        stats = warm_solver.stats.as_dict()
-
-        seconds: dict[str, float] = {}
-        for backend in BACKENDS:
-            best = float("inf")
-            for _ in range(reps):
-                if backend == "warm":
-                    warm_solver.restore(state)
-                start = time.perf_counter()
-                if backend == "warm":
-                    _replay_warm(problem, events, delta=True, solver=warm_solver)
-                else:
-                    _replay_dense(events, backend)
-                best = min(best, time.perf_counter() - start)
-            seconds[backend] = best
-
-        points.append(
-            {
-                "instance": label,
-                "seed": spec.seed,
-                "events": len(events),
-                "base_rows": len(base[0]),
-                "base_cols": len(base[1]),
-                "base_edges": len(base[4]),
-                "scipy_seconds": seconds["scipy"],
-                "sparse_seconds": seconds["sparse"],
-                "warm_seconds": seconds["warm"],
-                "warm_speedup": seconds["scipy"] / seconds["warm"],
-                "warm_vs_sparse": seconds["sparse"] / seconds["warm"],
-                "warm_stats": stats,
-            }
-        )
-    return points
-
-
 def render_replay_table(points):
     rows = [
         [
@@ -500,53 +325,36 @@ def render_replay_table(points):
     )
 
 
-def _hit_rate(stats):
-    reaug = stats["rows_reaugmented"]
-    return stats["quick_matches"] / reaug if reaug else 1.0
-
-
-def render_online_table(points):
+def render_crosscheck_table(crosscheck):
     rows = [
-        [
-            p["instance"],
-            p["events"],
-            f"{p['base_rows']}x{p['base_cols']}",
-            f"{p['scipy_seconds'] * 1e3:.2f}",
-            f"{p['sparse_seconds'] * 1e3:.2f}",
-            f"{p['warm_seconds'] * 1e3:.2f}",
-            f"{p['warm_speedup']:.2f}x",
-            f"{p['warm_vs_sparse']:.2f}x",
-            f"{p['warm_stats']['rows_kept']}/{p['warm_stats']['rows_total']}",
-            f"{_hit_rate(p['warm_stats']):.0%}",
-            p["warm_stats"]["heap_pops"],
-            p["warm_stats"]["dual_repairs"],
-        ]
-        for p in points
+        [p["instance"]]
+        + [p[f"cardinality_{b}"] for b in BACKENDS]
+        + [p[f"cost_{b}"] for b in BACKENDS]
+        for p in crosscheck
     ]
     return format_table(
-        ["instance", "events", "base", "scipy ms", "sparse ms", "warm ms",
-         "vs scipy", "vs sparse", "kept", "quick", "pops", "repairs"],
+        ["instance"]
+        + [f"card({b})" for b in BACKENDS]
+        + [f"cost({b})" for b in BACKENDS],
         rows,
-        title=("Online perturbation replay: delta re-solve vs full solves "
-               "per event (base solve untimed)"),
+        title="Matching backends agree on cardinality and cost",
     )
 
 
-def emit_replay(results_dir, points, online_points, cold, reps):
-    emit(
-        results_dir,
-        "matching_replay",
-        render_replay_table(points) + "\n\n" + render_online_table(online_points),
-    )
+def emit_records(results_dir, crosscheck, points, reps):
+    """Write the cross-check table, the replay table and their JSON record."""
+    emit(results_dir, "matching_backends", render_crosscheck_table(crosscheck))
+    emit(results_dir, "matching_replay", render_replay_table(points))
     emit_json(
         results_dir,
         "BENCH_matching_backends",
         config={
             "workload": (
-                "online perturbation replay on Figure-3-shaped instances "
-                "(waxman, radius-1 locality): one Algorithm 2 base round "
-                "graph + a seeded stream of cloudlet/instance failures and "
-                "recoveries, re-solved after every event"
+                "Algorithm 2 round-graph replay on Figure-3-shaped instances "
+                "(waxman, radius-1 locality), stop_at_expectation=False: "
+                "every real-matched row re-augments each round because "
+                "matched items are consumed, so the delta keeps only "
+                "dummy-matched rows and the C-kernel backends win here"
             ),
             "shapes": [
                 {
@@ -560,69 +368,35 @@ def emit_replay(results_dir, points, online_points, cold, reps):
                 }
                 for label, spec in FIG3_SHAPES
             ],
-            "events_per_shape": ONLINE_EVENTS,
             "reps_per_backend": reps,
             "timing": (
-                "online serving: the base-round solve is untimed bootstrap "
-                "(a live system already holds the current matching when an "
-                "event arrives); min-of-reps of the raw matchers over the "
-                "event re-solves only, every backend alike -- scipy/sparse "
-                "carry no cross-round state, warm reps restore a snapshot "
-                "of the bootstrapped dual+matching store.  Identity "
+                "min-of-reps of the raw matchers over the captured round "
+                "graphs, cache-cold per pass (a fresh workspace or a fresh "
+                "warm solver); warm times its delta path.  Identity "
                 "(cardinality + total cost per graph) asserted across "
-                "backends, on the full stream and on the snapshot/restore "
-                "serving path, before any timing"
+                "backends before any timing"
             ),
         },
-        points=online_points,
+        points=points,
         extra={
-            "consume_replay": {
-                "workload": (
-                    "full Algorithm 2 round-graph replay, "
-                    "stop_at_expectation=False (every real-matched row "
-                    "re-augments each round because matched items are "
-                    "consumed -- the delta keeps only dummy-matched rows, "
-                    "so the C-kernel backends win here; recorded honestly)"
-                ),
-                "points": points,
-            },
-            "cold_single_shot": cold,
+            "cold_single_shot": cold_single_shot(crosscheck),
             "note": (
                 f"measured on cpu_count={os.cpu_count()}; matchers are "
                 "single-threaded, so speedup is backend-vs-backend on one "
-                "core.  The delta core's contract: no slower than the dense "
-                "reduction cold, and faster than every full re-solve -- "
-                "including sparse -- on the online perturbation workload."
+                "core.  The warm core's contract here: no slower than the "
+                "dense reduction on cold single shots."
             ),
         },
     )
 
 
 def bench_matching_report(benchmark, results_dir):
-    """Cross-check table plus the consume- and online-replay records."""
+    """Cross-check table plus the consume-replay record."""
 
     def run():
-        return run_crosscheck(), run_replay(), run_online_replay()
+        return run_crosscheck(), run_replay()
 
-    crosscheck, replay, online = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    rows = [
-        [p["instance"]]
-        + [p[f"cardinality_{b}"] for b in BACKENDS]
-        + [p[f"cost_{b}"] for b in BACKENDS]
-        for p in crosscheck
-    ]
-    emit(
-        results_dir,
-        "matching_backends",
-        format_table(
-            ["instance"]
-            + [f"card({b})" for b in BACKENDS]
-            + [f"cost({b})" for b in BACKENDS],
-            rows,
-            title="Matching backends agree on cardinality and cost",
-        ),
-    )
+    crosscheck, replay = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_json(
         results_dir,
         "BENCH_matching_crosscheck",
@@ -635,29 +409,22 @@ def bench_matching_report(benchmark, results_dir):
         },
         points=crosscheck,
     )
-    emit_replay(results_dir, replay, online, cold_single_shot(crosscheck), REPLAY_REPS)
-    _assert_replay_records(crosscheck, replay, online)
+    emit_records(results_dir, crosscheck, replay, REPLAY_REPS)
+    _assert_replay_records(crosscheck, replay)
 
 
-def _assert_replay_records(crosscheck, replay, online):
+def _assert_replay_records(crosscheck, replay):
     """The recorded performance contract, shared by report and standalone runs.
 
     * sparse clearly beats the dense reduction on the consume replay;
     * cold single-shots: warm is no slower than the dense reduction
-      (aggregate over the cross-check grid);
-    * online perturbation replay: warm beats scipy everywhere and beats
-      sparse on at least two of the three shapes (per-event full C solves
-      cannot keep up with re-augmenting a handful of orphans).
+      (aggregate over the cross-check grid).
     """
     for point in replay:
         assert point["sparse_speedup"] > 1.3, point
     assert max(p["sparse_speedup"] for p in replay) >= 1.5, replay
     cold = cold_single_shot(crosscheck)
     assert cold["warm_vs_scipy"] >= 1.0, cold
-    for point in online:
-        assert point["warm_speedup"] > 1.0, point
-    beats_sparse = sum(p["warm_vs_sparse"] > 1.0 for p in online)
-    assert beats_sparse >= min(2, len(online)), online
 
 
 def main(argv):
@@ -671,23 +438,16 @@ def main(argv):
     assert cold["warm_vs_scipy"] >= 1.0, cold
     if quick:
         points = run_replay(shapes=FIG3_SHAPES[:1], reps=2)
-        online = run_online_replay(shapes=FIG3_SHAPES[:1], reps=2, n_events=30)
         print(render_replay_table(points))
-        print(render_online_table(online))
         # smoke: identity (asserted in the runners) plus a sane sparse win
-        # on the consume rounds and a warm replay win on the online stream
-        # (noise headroom below the recorded figures)
+        # on the consume rounds (noise headroom below the recorded figures)
         assert all(p["sparse_speedup"] > 1.2 for p in points), points
-        assert all(p["warm_speedup"] > 1.0 for p in online), online
-        assert all(p["warm_vs_sparse"] > 1.0 for p in online), online
     else:
         points = run_replay()
-        online = run_online_replay()
         print(render_replay_table(points))
-        print(render_online_table(online))
         RESULTS_DIR.mkdir(exist_ok=True)
-        emit_replay(RESULTS_DIR, points, online, cold, REPLAY_REPS)
-        _assert_replay_records(crosscheck, points, online)
+        emit_records(RESULTS_DIR, crosscheck, points, REPLAY_REPS)
+        _assert_replay_records(crosscheck, points)
     return 0
 
 

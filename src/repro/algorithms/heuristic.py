@@ -18,8 +18,8 @@ graph is built on the updated residuals.
 :class:`repro.matching.incremental.RoundState` maintains the per-round
 graph across rounds by applying deltas -- matched items leave, and only
 cloudlets whose residual crossed a ``c(f_i)`` threshold lose edges -- and
-the padded matrix buffer is reused.  The original loop that rebuilds
-``G_l`` from the ledger every round is kept in
+one padded matrix buffer serves every round of a solve.  The original
+loop that rebuilds ``G_l`` from the ledger every round is kept in
 ``tests/reference/rebuild.py``; the differential suites
 (``tests/test_matching_incremental.py`` and others) prove the two
 identical placement by placement, round by round.
@@ -68,10 +68,10 @@ from repro.algorithms.base import (
 from repro.algorithms.ilp_exact import repair_prefix
 from repro.core.problem import AugmentationProblem
 from repro.core.solution import AugmentationResult, AugmentationSolution, Placement
-from repro.kernels.arena import thread_arena
 from repro.matching.incremental import RoundState, edge_cost_sum
 from repro.matching.mincost import (
     MatchEdge,
+    MatchingWorkspace,
     default_backend,
     min_cost_max_matching_arrays,
     resolve_backend,
@@ -283,23 +283,20 @@ class MatchingHeuristic(AugmentationAlgorithm):
     def _run_rounds(
         self, problems: Sequence[AugmentationProblem], backend: str
     ) -> list[tuple[list[Placement], int, list[dict[str, object]]]]:
-        """The round loop: delta-maintained ``G_l`` + buffer reuse.
+        """The round loop: delta-maintained ``G_l``, one buffer per solve.
 
         Each round solves the union graph of the problems still active, then
         commits every problem's matches cheapest-first, stopping mid-round
         once that problem meets its expectation (a solo solve is a wave of
         one)."""
         ledger = problems[0].ledger()
-        # Resolved per solve, never stored on the algorithm, so instances
-        # stay picklable and fork-safe (see docs/performance.md).
-        arena = thread_arena()
-        state = RoundState(problems, ledger, arena=arena)
-        workspace = arena.workspace
+        state = RoundState(problems, ledger)
+        workspace = MatchingWorkspace()
         # The warm solver must outlive the round loop (its duals carry
         # between rounds), so it cannot live behind the stateless
         # min_cost_max_matching_arrays interface.
         warm = (
-            state.warm_solver(arena=arena, universe_cost_sum=self.universe_cost_sum)
+            state.warm_solver(universe_cost_sum=self.universe_cost_sum)
             if backend == "warm"
             else None
         )

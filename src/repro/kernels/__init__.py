@@ -1,7 +1,7 @@
 """Array-native construction kernels.
 
-The modules below implement the hot paths of instance construction and
-the matching pipeline with NumPy bulk operations:
+The modules below implement the hot paths of instance construction with
+NumPy bulk operations:
 
 * :mod:`repro.kernels.csr` -- CSR adjacency + vectorized multi-source
   truncated BFS, serving ``N_l^+(v)`` masks to
@@ -10,14 +10,10 @@ the matching pipeline with NumPy bulk operations:
 * :mod:`repro.kernels.items` -- vectorized BMCGAP item generation
   (candidate bins, ``K_i`` capacity counts, and Lemma 4.1 cost ladders),
   bit-identical to the scalar reference loop in ``tests/reference/items.py``
-  (``tests/test_kernels_differential.py``);
-* :mod:`repro.kernels.arena` -- per-thread reusable matrix buffers for
-  :class:`repro.matching.incremental.RoundState` and the heuristic's
-  padded assignment matrices.
+  (``tests/test_kernels_differential.py``).
 
-They are wired through ``MECNetwork.neighborhoods``,
-``AugmentationProblem.build`` and ``MatchingHeuristic``.  See
-``docs/performance.md``.
+They are wired through ``MECNetwork.neighborhoods`` and
+``AugmentationProblem.build``.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations

@@ -21,11 +21,10 @@ provides:
   :func:`~repro.matching.incremental.warm_solver_for` and
   :meth:`~repro.matching.incremental.RoundState.warm_solver`); delta rounds keep
   still-valid pairs and re-augment only orphans
-  (:meth:`~repro.matching.warmstart.DualReusingSolver.solve_round_delta`),
-  online serving can checkpoint/rewind the persistent state
-  (:meth:`~repro.matching.warmstart.DualReusingSolver.snapshot` /
-  :meth:`~repro.matching.warmstart.DualReusingSolver.restore`),
-  with :class:`~repro.matching.warmstart.WarmStats` counters, a
+  (:meth:`~repro.matching.warmstart.DualReusingSolver.solve_round_delta`);
+  both entry points take Algorithm 2's shrinking rounds only and reject a
+  grown round with ``ValidationError``.  It comes with
+  :class:`~repro.matching.warmstart.WarmStats` counters, a
   :class:`~repro.matching.warmstart.UniverseIndex` CSR presort, and the
   ``REPRO_WARM_DELTA`` switch
   (:func:`~repro.matching.warmstart.warm_delta_enabled`);

@@ -27,8 +27,8 @@ instead:
 * **Costs** -- the Eq. 3 cost ``-log(r_i (1-r_i)^k)`` depends only on
   ``(i, k)``; it is read once from the generated items (themselves fed by
   the memoized ladders of :mod:`repro.core.items`) and never recomputed.
-* **Matrix buffer** -- the padded assignment matrix is written into a
-  reusable :class:`repro.matching.mincost.MatchingWorkspace` instead of
+* **Matrix buffer** -- the padded assignment matrix is written into one
+  :class:`repro.matching.mincost.MatchingWorkspace` per solve instead of
   being reallocated per round.
 
 Equivalence guarantee
@@ -57,7 +57,7 @@ disjoint union of the problems' own round graphs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -68,9 +68,6 @@ from repro.kernels.items import plan_of
 from repro.matching.warmstart import DualReusingSolver, UniverseIndex
 from repro.netmodel.capacity import EPS, CapacityLedger
 from repro.util.errors import ValidationError
-
-if TYPE_CHECKING:  # import at runtime would cycle through repro.matching
-    from repro.kernels.arena import MatrixArena
 
 
 class _ProblemStatics:
@@ -170,15 +167,15 @@ def edge_cost_sum(problem: AugmentationProblem) -> float:
 def warm_solver_for(
     problem: AugmentationProblem,
     ledger: CapacityLedger,
-    arena: "MatrixArena | None" = None,
     universe_cost_sum: float | None = None,
 ) -> DualReusingSolver:
     """A :class:`DualReusingSolver` sized for one solve's global id spaces.
 
     The single-problem round engine and the rebuild reference loop
-    construct their solver through this factory so the dual vectors (keyed by global cloudlet id / item index) and the constant
-    dummy cost ``B`` (from the shared statics' universe cost sum) are
-    identical -- a precondition for the engines' bit-identical solves under
+    construct their solver through this factory so the dual vectors (keyed
+    by global cloudlet id / item index) and the constant dummy cost ``B``
+    (from the shared statics' universe cost sum) are identical -- a
+    precondition for the engines' bit-identical solves under
     the ``"warm"`` backend.  The solver also carries the problem's memoized
     :class:`UniverseIndex` for this ledger's node order, enabling the
     ``edge_idx`` fast path of ``solve_round_delta``.
@@ -199,8 +196,7 @@ def warm_solver_for(
     n_items = len(problem.items)
     base = statics.cost_sum if universe_cost_sum is None else float(universe_cost_sum)
     return DualReusingSolver(
-        node_space, n_items, base, arena=arena,
-        universe=statics.universe_for(nodes),
+        node_space, n_items, base, universe=statics.universe_for(nodes)
     )
 
 
@@ -219,21 +215,12 @@ class RoundState:
         The live capacity ledger the caller commits placements against.
         The engine assumes residuals only decrease while it is active
         (true for Algorithm 2, which never rolls back inside a solve).
-    arena:
-        Optional :class:`repro.kernels.arena.MatrixArena` to lease the
-        residual snapshot and scratch index maps from instead of allocating
-        fresh arrays per solve.  Must be this thread's arena
-        (:func:`repro.kernels.arena.thread_arena`) -- see the locality
-        contract in ``docs/performance.md``.  Every leased element is
-        (re)initialised below before any read, so arena solves are
-        bit-identical to ``arena=None`` solves.
     """
 
     def __init__(
         self,
         problems: Sequence[AugmentationProblem],
         ledger: CapacityLedger,
-        arena: MatrixArena | None = None,
     ):
         self._ledger = ledger
         self._problems = tuple(problems)
@@ -283,26 +270,15 @@ class RoundState:
                 raise ValidationError(
                     f"wave problems share cloudlet {int(self._edge_node[clash.argmax()])}"
                 )
-        if arena is not None:
-            self._item_alive = arena.take("item_alive", n_items, bool)
-            self._item_alive[:] = True
-            # Residual snapshot, delta-maintained: exact ledger floats,
-            # refreshed only for touched nodes.  Zero-filled like the fresh
-            # allocation: gap entries (non-ledger nodes below `size`) are
-            # read by build_edges' `res[v] > 0` test and must not hold
-            # stale floats.
-            self._res = arena.take("res", size, np.float64)
-            self._res[:] = 0.0
-            # Scratch index maps, overwritten each round before use.
-            self._node_to_row = arena.take("node_to_row", size, np.intp)
-            self._col_of = arena.take("col_of", n_items, np.intp)
-            self._arange = arena.arange(max(size, n_items))
-        else:
-            self._item_alive = np.ones(n_items, dtype=bool)
-            self._res = np.zeros(size, dtype=np.float64)
-            self._node_to_row = np.zeros(size, dtype=np.intp)
-            self._col_of = np.zeros(n_items, dtype=np.intp)
-            self._arange = np.arange(max(size, n_items), dtype=np.intp)
+        self._item_alive = np.ones(n_items, dtype=bool)
+        # Residual snapshot, delta-maintained: exact ledger floats, refreshed
+        # only for touched nodes.  Gap entries (non-ledger nodes below
+        # `size`) stay zero, which build_edges' `res[v] > 0` test reads.
+        self._res = np.zeros(size, dtype=np.float64)
+        # Scratch index maps, overwritten each round before use.
+        self._node_to_row = np.zeros(size, dtype=np.intp)
+        self._col_of = np.zeros(n_items, dtype=np.intp)
+        self._arange = np.arange(max(size, n_items), dtype=np.intp)
         self._refresh_residuals()
         self._last_edge_idx: np.ndarray | None = None
         #: Indices of the problems still taking part in the rounds.
@@ -339,23 +315,18 @@ class RoundState:
         counts = np.bincount(self._edge_member[idx], minlength=len(self._spans))
         return [m for m in self.active if not counts[m]]
 
-    def warm_solver(
-        self,
-        arena: "MatrixArena | None" = None,
-        universe_cost_sum: float | None = None,
-    ) -> DualReusingSolver:
+    def warm_solver(self, universe_cost_sum: float | None = None) -> DualReusingSolver:
         """The :class:`DualReusingSolver` for these rounds: for one problem
         :func:`warm_solver_for`'s, for a wave one over the concatenated
         universe, which needs ``universe_cost_sum`` pinned."""
         if len(self._problems) == 1:
             return warm_solver_for(
-                self._problems[0], self._ledger, arena=arena,
-                universe_cost_sum=universe_cost_sum,
+                self._problems[0], self._ledger, universe_cost_sum=universe_cost_sum
             )
         if universe_cost_sum is None:
             raise ValidationError("a wave's warm solver needs a pinned universe_cost_sum")
         return DualReusingSolver(
-            self._size, len(self._items), float(universe_cost_sum), arena=arena,
+            self._size, len(self._items), float(universe_cost_sum),
             universe=UniverseIndex(
                 self._edge_node, self._edge_item, self._edge_cost, self._nodes
             ),

@@ -32,22 +32,20 @@ matrix) with two layers of cross-round state:
   exactly the JV invariant, so every delta round is still an exact
   min-cost maximum matching -- the delta only changes *how much work* the
   round does, typically re-augmenting a handful of rows instead of all of
-  them.  Rounds that *grow* the graph (items or edges returning, rows
-  resurrecting -- the online re-solve workload) can break the invariant;
-  a two-stage repair restores it in place.  Before the sweep, *free*
-  rows whose dual feasibility the new edges violate get ``u`` cut to
-  their cheapest raw edge cost (they were due for re-augmentation
-  anyway), and columns priced too high by matched rows get their
-  potential lowered to the largest feasible value -- releasing a matched
-  row is reserved for the rare new-edge-between-matched-endpoints case,
-  because every release is a full re-augmentation.  After the sweep,
-  each column still free with stale negative potential is re-admitted by
-  a dynamic-Hungarian *column insertion* (one reverse Dijkstra rooted at
-  the column that either matches it or proves the dual ascent to
-  ``v = 0`` feasible -- see :meth:`DualReusingSolver._insert_column`;
-  ``dual_repairs`` counts the insertions).  The exactness contract
-  therefore holds for **arbitrary** round sequences, not just
-  Algorithm 2's shrink-only ones.
+  them.
+
+Both entry points take Algorithm 2's *shrinking* round sequences, in
+which each round's graph is a subgraph of the last: placed items leave
+and residuals only fall.  A round that *grows* the graph (items, edges
+or rows returning) can break the invariant three ways.  A new edge at a
+*free* row can violate its dual; that row is re-augmented anyway, so its
+``u`` is cut to its cheapest raw edge cost (the free-row cut, counted in
+``dual_repairs``).  A new edge at a *matched* row, or a column that
+comes back free with the negative potential it earned while matched,
+cannot be repaired that cheaply: the round raises
+:class:`~repro.util.errors.ValidationError` before the sweep and before
+any persistent state is written, so the solver is left exactly as it
+was.
 
 The sweep that augments the orphans runs a vectorised *prepass* computing
 every orphan row's cheapest reduced-cost column in one shot; a row whose
@@ -67,14 +65,6 @@ mirror the scan's strict-``<`` relaxation so the popped entry's
 predecessor is always the scan's.  ``tests/test_matching_warm_delta.py``
 asserts the equivalence pair-for-pair on random round sequences, tied
 costs included.
-
-Both persistent layers and the round-local scratch are leased from the
-per-thread :class:`repro.kernels.arena.MatrixArena` when one is supplied
-(``warm_*`` for duals, ``warm_match_*`` for the persistent
-matching, round-local pairing, universe mask and index maps), so a request
-stream re-solves thousands of rounds without re-allocating; every leased
-element is (re)initialised before use, so arena solves are bit-identical
-to ``arena=None`` solves.
 
 A :class:`UniverseIndex` (built once per problem/node-order by
 :func:`repro.matching.incremental.warm_solver_for`) presorts the *static
@@ -96,14 +86,11 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.util.errors import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kernels.arena import MatrixArena
 
 #: Sentinel in the persistent matching: "matched to the row's private dummy
 #: column" (distinct from -1, "not matched in any prior round / orphaned").
@@ -133,7 +120,8 @@ class WarmStats:
     rows split into ``quick_matches`` (the prepass matched them in O(1)
     because their cached cheapest column was still tight and free) and rows
     that ran a full Dijkstra (``heap_pops`` counts its column pops, the
-    unit of sweep work).
+    unit of sweep work).  ``dual_repairs`` counts the free rows whose
+    ``u`` the free-row cut lowered (zero on Algorithm 2's rounds).
     """
 
     __slots__ = (
@@ -258,14 +246,6 @@ class DualReusingSolver:
         the real cost of any round's matching and must not change between
         rounds (a shrinking ``B`` could break dual feasibility on the
         dummy edges), so it is derived from the universe, not per round.
-    arena:
-        Optional :class:`repro.kernels.arena.MatrixArena` to lease the dual
-        and scratch vectors from (must be this thread's arena -- see the
-        locality contract in ``docs/performance.md``).  Arena buffers are
-        name-keyed, and the warm leases (``warm_u`` .. ``warm_match_*``)
-        hold state that *persists across rounds* -- so at most one live
-        arena-backed solver per arena; a successor solver on the same
-        arena reuses (and reinitialises) the same memory.
     universe:
         Optional :class:`UniverseIndex` enabling the ``edge_idx`` fast path
         of :meth:`solve_round_delta` (CSR by presort filtering instead of a
@@ -290,7 +270,6 @@ class DualReusingSolver:
         "_u",
         "_v",
         "_vd",
-        "_arena",
         "_universe",
         "_node_space",
         "_item_space",
@@ -304,7 +283,6 @@ class DualReusingSolver:
         node_space: int,
         item_space: int,
         universe_cost_sum: float,
-        arena: "MatrixArena | None" = None,
         universe: UniverseIndex | None = None,
     ) -> None:
         if node_space < 0 or item_space < 0:
@@ -329,28 +307,15 @@ class DualReusingSolver:
                     f"item space {item_space}"
                 )
         self._big = big
-        self._arena = arena
         self._universe = universe
         self._node_space = node_space
         self._item_space = item_space
         self.stats = WarmStats()
-        if arena is not None:
-            self._u = arena.take("warm_u", node_space, np.float64)
-            self._v = arena.take("warm_v", item_space, np.float64)
-            self._vd = arena.take("warm_vd", node_space, np.float64)
-            self._g_col4row = arena.take("warm_match_col4row", node_space, np.intp)
-            self._g_row4col = arena.take("warm_match_row4col", item_space, np.intp)
-        else:
-            self._u = np.empty(node_space, dtype=np.float64)
-            self._v = np.empty(item_space, dtype=np.float64)
-            self._vd = np.empty(node_space, dtype=np.float64)
-            self._g_col4row = np.empty(node_space, dtype=np.intp)
-            self._g_row4col = np.empty(item_space, dtype=np.intp)
-        self._u[:] = 0.0
-        self._v[:] = 0.0
-        self._vd[:] = 0.0
-        self._g_col4row.fill(-1)
-        self._g_row4col.fill(-1)
+        self._u = np.zeros(node_space, dtype=np.float64)
+        self._v = np.zeros(item_space, dtype=np.float64)
+        self._vd = np.zeros(node_space, dtype=np.float64)
+        self._g_col4row = np.full(node_space, -1, dtype=np.intp)
+        self._g_row4col = np.full(item_space, -1, dtype=np.intp)
 
     # -- round construction ---------------------------------------------------
     def _build_round(
@@ -446,20 +411,12 @@ class DualReusingSolver:
             raise ValidationError(
                 f"edge_idx out of range [0, {n_universe})"
             )
-        arena = self._arena
-        if arena is not None:
-            mask = arena.take("warm_match_umask", n_universe, bool)
-            n2r = arena.take("warm_match_n2r", self._node_space, np.intp)
-            c2l = arena.take("warm_match_c2l", self._item_space, np.intp)
-            ar = arena.arange(max(n, m))
-        else:
-            mask = np.empty(n_universe, dtype=bool)
-            n2r = np.empty(self._node_space, dtype=np.intp)
-            c2l = np.empty(self._item_space, dtype=np.intp)
-            ar = np.arange(max(n, m), dtype=np.intp)
-        mask[:] = False
+        mask = np.zeros(n_universe, dtype=bool)
         mask[idx] = True
         sel = uni.order[mask[uni.order]]
+        n2r = np.empty(self._node_space, dtype=np.intp)
+        c2l = np.empty(self._item_space, dtype=np.intp)
+        ar = np.arange(max(n, m), dtype=np.intp)
         n2r[rows_idx] = ar[:n]
         c2l[cols_idx] = ar[:m]
         csr_erow = n2r[uni.edge_node[sel]]
@@ -467,51 +424,29 @@ class DualReusingSolver:
         csr_costs = uni.edge_cost[sel]
         return csr_erow, csr_cols, csr_costs
 
-    def _round_matching(self, width: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh (-1-filled) round-local ``row4col`` / ``col4row`` buffers."""
-        arena = self._arena
-        if arena is not None:
-            row4col = arena.take("warm_match_l_row4col", width, np.intp)
-            col4row = arena.take("warm_match_l_col4row", n, np.intp)
-        else:
-            row4col = np.empty(width, dtype=np.intp)
-            col4row = np.empty(n, dtype=np.intp)
-        row4col.fill(-1)
-        col4row.fill(-1)
-        return row4col, col4row
-
-    def _repair_feasibility(
+    def _cut_free_rows(
         self, n, m, u, v_local, csr_erow, csr_cols, csr_costs, row4col, col4row,
     ) -> int:
-        """Restore dual feasibility at the cheapest structural cost.
+        """Reject a grown round, else restore dual feasibility on free rows.
 
-        Two vectorised passes, ordered so repairs stay local:
+        A shrinking round keeps every dual feasible, every matched pair
+        tight and every free column at zero potential.  Two violations mean
+        the graph grew in a way the sweep cannot absorb, and raise
+        :class:`~repro.util.errors.ValidationError`:
 
-        1. *Free rows* with a violating edge get ``u`` cut down to their
-           cheapest raw live edge cost (capped by the dummy cost ``big``).
-           Potentials never exceed zero, so the cut row is feasible against
-           every column -- and the row was already due for re-augmentation,
-           so the cut costs nothing.  (On cold solves every row is free and
-           this pass alone restores feasibility, exactly as it always did.)
-        2. Violations that remain run through *matched* rows pricing a
-           column too high (typically a column re-entering the round with a
-           stale potential).  Instead of releasing every priced-out row --
-           each release is a full re-augmentation, and one hot column can
-           release dozens of rows -- the column's potential is lowered to
-           the largest feasible value ``min(0, min_i (c_ij - u_i))``.  A
-           *free* column lowered below zero becomes stale and is re-admitted
-           by one :meth:`_insert_column` call in :meth:`_certified_sweep`;
-           a *matched* column loses tightness, so its row is released (the
-           only remaining release, and rare: it needs a new edge between
-           two already-matched endpoints).
+        * a *matched* row (real or dummy partner) whose worst live edge has
+          reduced cost below ``-big * 1e-12``.  Edges the dual updates leave
+          exactly tight in real arithmetic drift by a few ulps of ``big`` in
+          floats; a genuine violation is a raw cost difference, orders of
+          magnitude above the tolerance;
+        * a *free* column, real or dummy, with a negative potential (a
+          column back from a round in which it was matched).
 
-        Violations within ``big * 1e-12`` are ignored: edges the dual
-        updates leave exactly tight in real arithmetic drift by a few ulps
-        of ``big`` in floats, and repairing noise would cost a real
-        re-augmentation every round.  Genuine violations are raw cost
-        differences, orders of magnitude above the tolerance.
-
-        Returns the number of rows released.
+        Otherwise every *free* row with a violating edge gets ``u`` cut to
+        its cheapest raw live edge cost (capped by the dummy cost ``big``).
+        Potentials never exceed zero, so the cut row is feasible against
+        every column, and it is re-augmented anyway.  Only the round-local
+        ``u`` changes.  Returns the number of rows cut.
         """
         width = m + n
         worst = np.zeros(n)
@@ -521,245 +456,24 @@ class DualReusingSolver:
         np.minimum(
             worst, np.minimum((self._big - u) - v_local[m:width], 0.0), out=worst
         )
-        rawmin: np.ndarray | None = None
-        released = 0
-        rows_bad = np.nonzero((worst < 0.0) & (col4row[:n] == -1))[0]
+        matched = col4row >= 0
+        if bool(np.any(worst[matched] < -self._big * 1e-12)):
+            raise ValidationError(
+                "the round graph grew: a matched row's dual is infeasible "
+                "(warm rounds must shrink)"
+            )
+        if bool(np.any(v_local[row4col == -1] < 0.0)):
+            raise ValidationError(
+                "the round graph grew: a free column carries a negative "
+                "potential (warm rounds must shrink)"
+            )
+        rows_bad = np.nonzero((worst < 0.0) & ~matched)[0]
         if rows_bad.size:
             rawmin = np.full(n, self._big)
             if csr_costs.size:
                 np.minimum.at(rawmin, csr_erow, csr_costs)
             u[rows_bad] = np.minimum(u[rows_bad], rawmin[rows_bad])
-            released += int(rows_bad.size)
-        tol = self._big * 1e-12
-        if (
-            rows_bad.size == 0
-            and not bool(np.any(worst[col4row[:n] >= 0] < -tol))
-        ):
-            return released
-        # Column pass on the post-cut duals.  Edges the sweep made tight
-        # (matched pairs, and the degenerate near-ties the dual updates
-        # leave exactly tight in real arithmetic) can read as violated by
-        # a few ulps of float drift -- the updates shift ``u`` and ``v``
-        # by the same delta, which need not cancel bit-exactly -- and a
-        # drift-triggered repair costs a real re-augmentation every round.
-        # The tolerance is scaled to the dummy cost (the largest magnitude
-        # the dual arithmetic ever carries): observed drift sits at
-        # ``O(eps * big)`` while genuine violations are raw cost
-        # differences, orders of magnitude above it.  ``vmax`` is computed
-        # once; a release inside the loop only lowers ``u`` further, which
-        # only raises the true bound, so the cached value stays feasible
-        # (at worst it over-lowers a potential the insertion re-raises).
-        vmax = np.full(width, np.inf)
-        if csr_costs.size:
-            np.minimum.at(vmax, csr_cols, csr_costs - u[csr_erow])
-        vmax[m:width] = np.minimum(vmax[m:width], self._big - u)
-        viol = np.nonzero(v_local[:width] > vmax + tol)[0]
-        if viol.size:
-            partners = row4col[viol]
-            matched_cols = viol[partners >= 0]
-            if matched_cols.size:
-                if rawmin is None:
-                    rawmin = np.full(n, self._big)
-                    if csr_costs.size:
-                        np.minimum.at(rawmin, csr_erow, csr_costs)
-                freed_rows = row4col[matched_cols]
-                u[freed_rows] = np.minimum(u[freed_rows], rawmin[freed_rows])
-                row4col[matched_cols] = -1
-                col4row[freed_rows] = -1
-                released += int(matched_cols.size)
-            v_local[viol] = np.minimum(v_local[viol], np.minimum(vmax[viol], 0.0))
-        return released
-
-    def _certified_sweep(
-        self, orphans, n, m, u, v_local,
-        csr_erow, csr_cols, csr_costs, indptr, row4col, col4row,
-    ) -> int:
-        """Sweep the orphans, then certify the full JV optimality invariant.
-
-        Successive shortest augmenting paths are exact iff (a) the duals
-        are feasible on every live edge (``c_ij - u_i - v_j >= 0``, dummy
-        edges included), (b) every matched pair is tight, and (c) every
-        *free* column -- real or dummy -- carries ``v_j == 0``.  The sweep
-        preserves all three (a free column is only ever popped as an
-        augmenting-path sink, which matches it), and callers establish
-        (a)/(b) up front (:meth:`_repair_feasibility` plus the
-        reconciliation); (c) is the condition graphs that *grow* break:
-        a resurrected item, or a column freed by a released or vanished
-        row, re-enters free with the negative potential it earned while
-        matched.
-
-        Simply zeroing such a column's potential cascades: the raise
-        breaks feasibility for every row priced against it, releasing
-        those rows re-prices *their* columns, and one stale column can
-        end up re-solving most of the graph.  Instead each one is handed
-        to :meth:`_insert_column` -- the dynamic-Hungarian column
-        insertion, one bounded reverse Dijkstra that either matches the
-        column (cost can only improve) or proves a dual ascent to
-        ``v == 0`` feasible, touching no other free column either way.
-        The stale set therefore shrinks by exactly one per insertion and
-        the certificate holds when the loop ends.  Returns the number of
-        inserted columns for the ``dual_repairs`` counter.
-        """
-        self._sweep(
-            orphans, n, m, u, v_local,
-            csr_erow, csr_cols, csr_costs, indptr, row4col, col4row,
-        )
-        width = m + n
-        stale = np.nonzero(
-            (row4col[:width] == -1) & (v_local[:width] < 0.0)
-        )[0]
-        if not stale.size:
-            return 0
-        # Column-major adjacency for the reverse Dijkstras, built once per
-        # round and only when something is actually stale.
-        order_c = np.lexsort((csr_erow, csr_cols))
-        csc_rows = csr_erow[order_c].tolist()
-        csc_costs = csr_costs[order_c].tolist()
-        counts = np.bincount(csr_cols, minlength=m)
-        col_iptr = np.empty(m + 1, dtype=np.intp)
-        col_iptr[0] = 0
-        np.cumsum(counts, out=col_iptr[1:])
-        col_iptr_l = col_iptr.tolist()
-        pops = 0
-        for t in stale.tolist():
-            pops += self._insert_column(
-                t, n, m, u, v_local, csc_rows, csc_costs, col_iptr_l,
-                row4col, col4row,
-            )
-        self.stats.heap_pops += pops
-        return int(stale.size)
-
-    def _insert_column(
-        self, t, n, m, u, v_local, csc_rows, csc_costs, col_iptr,
-        row4col, col4row,
-    ) -> int:
-        """Re-admit one free column with stale potential ``v_t < 0``.
-
-        The state on entry is the exact JV certificate for the graph
-        *without* ``t`` (every row matched and tight, feasible duals,
-        every other free column at zero).  Adding one column changes the
-        optimum by at most one alternating path, found by a single
-        Dijkstra rooted at ``t`` over reduced costs: ``t -> row`` along
-        any edge (``c - u - v_t``, non-negative by feasibility), ``row ->
-        its matched column`` at zero (tight), ``column -> row`` along any
-        edge.  Every reached column is matched (columns only enter via
-        their matched row), and *freeing* a matched column ``c`` is legal
-        once its potential reaches zero -- at ascent ``delta = dist_c -
-        v_c``.  The answer is ``delta = min(-v_t, min_c (dist_c - v_c))``
-        over popped columns (the heap is popped until its front can no
-        longer beat that bound):
-
-        * if ``-v_t`` wins, no augmentation improves on raising ``v_t``
-          itself: scanned duals shift by their slack to ``delta`` and
-          ``t`` stays free at exactly ``v_t = 0``;
-        * otherwise the alternating path from ``t`` to the winning column
-          is applied -- ``t`` becomes matched (at ``v_t + delta <= 0``,
-          so the sign constraint holds), the winner is freed at exactly
-          ``v = 0``, and every new pair is tight by the relaxation
-          equalities.
-
-        Scanned rows take ``u -= delta - dist`` and scanned columns
-        ``v += delta - dist`` (their matched pairs shift together, so
-        tightness is preserved; the sink-candidate minimum is what proves
-        no matched ``v`` crosses zero).  Either way feasibility, tightness
-        and the free-column-zero invariant all hold on exit, and no other
-        free column is touched -- so one insertion per stale column
-        restores the certificate.  Returns the number of Dijkstra pops.
-        """
-        big = self._big
-        vt = float(v_local[t])
-        best = -vt  # pure dual-ascent candidate: raise v_t all the way to 0
-        best_sink = -1
-        INF = np.inf
-        distr = [INF] * n
-        distc = [INF] * (m + n)
-        scanned_r = [False] * n
-        scanned_c = [False] * (m + n)
-        sr_ids: list[int] = []
-        sc_ids: list[int] = []
-        predr = [-1] * n
-        # Push pruning: the loop below only ever pops entries strictly
-        # under ``best``, and ``best`` only falls, so a candidate at or
-        # above it can be dropped at push time (its tentative distance
-        # still updates, keeping later strict-``<`` relaxations exact).
-        heap: list[tuple[float, int, int]] = []
-        if t >= m:
-            r = t - m
-            cand = (big - float(u[r])) - vt
-            distr[r] = cand
-            predr[r] = t
-            if cand < best:
-                heappush(heap, (cand, 1, r))
-        else:
-            for p in range(col_iptr[t], col_iptr[t + 1]):
-                r = csc_rows[p]
-                cand = (csc_costs[p] - float(u[r])) - vt
-                if cand < distr[r]:
-                    distr[r] = cand
-                    predr[r] = t
-                    if cand < best:
-                        heappush(heap, (cand, 1, r))
-        pops = 0
-        while heap and heap[0][0] < best:
-            d, kind, idx = heappop(heap)
-            if kind == 1:
-                if scanned_r[idx]:
-                    continue
-                scanned_r[idx] = True
-                sr_ids.append(idx)
-                pops += 1
-                c = int(col4row[idx])  # rows are all matched on entry
-                if not scanned_c[c]:
-                    distc[c] = d  # traverse the tight matched edge at +0
-                    heappush(heap, (d, 0, c))
-            else:
-                c = idx
-                if scanned_c[c]:
-                    continue
-                scanned_c[c] = True
-                sc_ids.append(c)
-                pops += 1
-                vc = float(v_local[c])
-                cand_sink = d - vc  # ascent at which freeing c becomes legal
-                if cand_sink < best:
-                    best = cand_sink
-                    best_sink = c
-                if c < m:
-                    for p in range(col_iptr[c], col_iptr[c + 1]):
-                        r = csc_rows[p]
-                        if scanned_r[r]:
-                            continue
-                        nd = d + ((csc_costs[p] - float(u[r])) - vc)
-                        if nd < distr[r]:
-                            distr[r] = nd
-                            predr[r] = c
-                            if nd < best:
-                                heappush(heap, (nd, 1, r))
-                # A dummy column reaches only its own row, which is the
-                # matched row it was entered through -- nothing to relax.
-        delta = best
-        for r in sr_ids:
-            dr = distr[r]
-            if dr < delta:
-                u[r] -= delta - dr
-        for c in sc_ids:
-            dc = distc[c]
-            if dc < delta:
-                v_local[c] += delta - dc
-        v_local[t] += delta
-        if best_sink >= 0:
-            c = best_sink
-            r = int(row4col[c])
-            row4col[c] = -1  # the winner is freed, at exactly v == 0
-            while True:
-                pc = predr[r]
-                nr = int(row4col[pc])  # -1 once pc == t
-                row4col[pc] = r
-                col4row[r] = pc
-                if pc == t:
-                    break
-                r = nr
-        return pops
+        return int(rows_bad.size)
 
     # -- public API -----------------------------------------------------------
     def solve_round(
@@ -794,26 +508,27 @@ class DualReusingSolver:
         list[tuple[int, int, float]]
             Matched ``(local_row, local_col, cost)`` triples sorted by row;
             maximum cardinality, minimum total cost among maximum matchings.
+
+        Raises
+        ------
+        ValidationError
+            On malformed edge arrays, and on a round that grew the graph in
+            a way :meth:`_cut_free_rows` rejects; the solver is unchanged.
         """
         built = self._build_round(rows, cols, edge_rows, edge_cols, edge_costs)
         if built is None:
             return []
         (n, m, rows_idx, cols_idx,
          csr_erow, csr_cols, csr_costs, indptr, flat_keys, u, v_local) = built
-        row4col, col4row = self._round_matching(m + n, n)
+        row4col = np.full(m + n, -1, dtype=np.intp)
+        col4row = np.full(n, -1, dtype=np.intp)
         stats = self.stats
-        # Edges this graph has that no prior round priced (returned items,
-        # re-added edges) can violate the persisted duals; the feasibility
-        # cut releases nothing here (every row is already an orphan) and is
-        # a no-op on Algorithm 2's shrink-only rounds.  The certified sweep
-        # then re-augments every row and zeroes whatever stale negative
-        # potential survives on still-free columns.
-        stats.dual_repairs += self._repair_feasibility(
+        stats.dual_repairs += self._cut_free_rows(
             n, m, u, v_local, csr_erow, csr_cols, csr_costs, row4col, col4row
         )
         stats.rows_total += n
         stats.rows_reaugmented += n
-        stats.dual_repairs += self._certified_sweep(
+        self._sweep(
             list(range(n)), n, m, u, v_local,
             csr_erow, csr_cols, csr_costs, indptr, row4col, col4row,
         )
@@ -851,7 +566,10 @@ class DualReusingSolver:
           (``RoundState.build_edges`` computes them anyway).  With a
           :class:`UniverseIndex` attached this derives the CSR layout by an
           O(E) filter of the presort; results are bit-identical to the
-          ``lexsort`` path.
+          ``lexsort`` path;
+        * a kept pair's row is *matched* for :meth:`_cut_free_rows`, so a
+          grown edge at it, or an item coming back free after a round in
+          which it was matched, raises before anything persists.
 
         The first delta round of a solver (nothing persisted) re-augments
         every row and is bit-identical to :meth:`solve_round`.
@@ -868,7 +586,8 @@ class DualReusingSolver:
                 "solve_round_delta requires strictly ascending cols "
                 "(global item indices)"
             )
-        row4col, col4row = self._round_matching(m + n, n)
+        row4col = np.full(m + n, -1, dtype=np.intp)
+        col4row = np.full(n, -1, dtype=np.intp)
 
         # -- reconcile the persisted matching with this round's graph --------
         prior = self._g_col4row[rows_idx]
@@ -899,14 +618,8 @@ class DualReusingSolver:
                 col4row[kr] = kc
                 row4col[kc] = kr
 
-        # -- exactness repair --------------------------------------------------
-        # Algorithm 2's consume-matched shrink-only rounds keep the JV
-        # invariant by construction; arbitrary callers -- resurrected items,
-        # added edges, online re-solves after failures -- can break it and
-        # are repaired in place (rows released by the repair join the
-        # orphans below).
         stats = self.stats
-        stats.dual_repairs += self._repair_feasibility(
+        stats.dual_repairs += self._cut_free_rows(
             n, m, u, v_local, csr_erow, csr_cols, csr_costs, row4col, col4row
         )
 
@@ -915,7 +628,7 @@ class DualReusingSolver:
         stats.rows_kept += n - len(orphans)
         stats.rows_reaugmented += len(orphans)
 
-        stats.dual_repairs += self._certified_sweep(
+        self._sweep(
             orphans, n, m, u, v_local,
             csr_erow, csr_cols, csr_costs, indptr, row4col, col4row,
         )
@@ -935,47 +648,6 @@ class DualReusingSolver:
         stats.rounds += 1
         stats.delta_rounds += 1
         return self._emit(m, col4row, csr_costs, flat_keys)
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copy the persistent state: duals and the global matching.
-
-        Together with :meth:`restore` this checkpoints an online-serving
-        solver so the same event stream can be replayed from identical warm
-        state -- benchmark repetitions, A/B comparisons, or speculative
-        what-if re-solves that must not disturb the live matching.  The
-        :attr:`stats` counters are *not* part of the snapshot (they describe
-        work done, not state held).
-        """
-        return {
-            "u": self._u.copy(),
-            "v": self._v.copy(),
-            "vd": self._vd.copy(),
-            "g_row4col": self._g_row4col.copy(),
-            "g_col4row": self._g_col4row.copy(),
-        }
-
-    def restore(self, state: dict[str, np.ndarray]) -> None:
-        """Load state captured by :meth:`snapshot` on this solver.
-
-        Copies into the live buffers (arena leases stay valid), so the next
-        :meth:`solve_round_delta` reconciles against exactly the matching
-        and potentials held when the snapshot was taken.
-        """
-        try:
-            u, v, vd = state["u"], state["v"], state["vd"]
-            r4c, c4r = state["g_row4col"], state["g_col4row"]
-        except KeyError as exc:  # pragma: no cover - caller error
-            raise ValidationError(f"snapshot missing field {exc}") from exc
-        if u.shape != self._u.shape or v.shape != self._v.shape:
-            raise ValidationError(
-                "snapshot shape mismatch: "
-                f"({u.shape}, {v.shape}) vs ({self._u.shape}, {self._v.shape})"
-            )
-        self._u[:] = u
-        self._v[:] = v
-        self._vd[:] = vd
-        self._g_row4col[:] = r4c
-        self._g_col4row[:] = c4r
 
     # -- sweep ----------------------------------------------------------------
     def _sweep(
@@ -1025,9 +697,7 @@ class DualReusingSolver:
                 first = np.minimum.reduceat(np.where(hit, pos, E), ne_starts)
                 argcol[rows_ne] = csr_cols[first]
         elif E:
-            arena = self._arena
-            idx_e = (arena.arange(E) if arena is not None
-                     else np.arange(E, dtype=np.intp))
+            idx_e = np.arange(E, dtype=np.intp)
             cand0 = 0.0 + ((csr_costs - u[csr_erow]) - v_local[csr_cols])
             starts = indptr[:-1]
             nonempty = indptr[1:] > starts

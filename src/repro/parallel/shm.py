@@ -46,11 +46,9 @@ Lifecycle contract (leak-free by construction)
   live views (the mapping stays valid until the last view dies, while the
   *name* is released by the owner's unlink).
 
-The :class:`~repro.kernels.arena.MatrixArena` ``__reduce__``-raises
-contract is honoured on the attach side: shared state crosses the process
-boundary only as read-only views plus value-like metadata; arenas (and
-every other mutable scratch structure) remain strictly process-local and
-are rebuilt by the worker.
+Shared state crosses the process boundary only as read-only views plus
+value-like metadata; every mutable scratch structure stays process-local
+and is built by the worker.
 
 Switch: ``REPRO_SHM=0`` disables the layer (tasks fall back to the
 classic fully-pickled payloads); the numbers are bit-identical either way

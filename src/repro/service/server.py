@@ -14,7 +14,9 @@ Two entry points share the :class:`~repro.service.batch.BatchAdmissionEngine`:
   bumps the shed counter), a batcher task drains whatever is queued each
   window into one ``admit_batch`` call, and departures are scheduled with
   ``call_later`` (a failing departure reaches the event loop's exception
-  handler).  Results are delivered through futures.
+  handler).  Results are delivered through futures.  If ``admit_batch``
+  raises, every future of that batch gets the error, the batcher dies,
+  later submits raise, and :meth:`AdmissionService.stop` re-raises it.
 """
 
 from __future__ import annotations
@@ -225,11 +227,15 @@ class AdmissionService:
         A full queue sheds immediately: the future resolves with a
         ``rejected_reason="shed"`` record and the shed counter (and
         metrics) are bumped -- the bounded-queue backpressure contract.
+        Raises :class:`ValidationError` once the service is stopping or its
+        batcher has died (nothing would drain the queue).
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         if self._closing:
             raise ValidationError("service is stopping")
+        if self._task is not None and self._task.done():
+            raise ValidationError("the batcher died; stop() re-raises its error")
         entry = (time.perf_counter(), request, holding, future)
         try:
             self._queue.put_nowait(entry)
@@ -264,7 +270,13 @@ class AdmissionService:
             return
         if self.metrics is not None:
             self.metrics.on_queue_depth(len(entries))
-        records = self.engine.admit_batch([req for _, req, _, _ in entries])
+        try:
+            records = self.engine.admit_batch([req for _, req, _, _ in entries])
+        except Exception as exc:
+            for *_, future in entries:
+                if not future.done():
+                    future.set_exception(exc)
+            raise
         now = time.perf_counter()
         loop = asyncio.get_running_loop()
         for (enqueued, _req, holding, future), record in zip(entries, records):

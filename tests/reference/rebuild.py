@@ -5,7 +5,7 @@ round loop: every round re-enumerates the positive-residual cloudlets,
 re-tests every (item, bin) pair through the ledger, and hands a fresh edge
 map to :func:`repro.matching.mincost.min_cost_max_matching` (the warm
 backend gets a fresh :func:`repro.matching.incremental.warm_solver_for`
-per solve, so nothing is leased from the thread arena).  The incremental
+per solve).  The incremental
 engine must reproduce its placements, rounds and per-round trace exactly
 (``tests/test_matching_incremental.py``,
 ``tests/test_matching_backends_differential.py``,

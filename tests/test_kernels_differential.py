@@ -8,14 +8,12 @@ Three layers, each compared with *exact* float equality (no tolerances):
 * generation -- kernel-built problems vs the scalar reference loop of
   ``tests/reference/items.py`` over the canonical differential stream plus
   figure-scale specs (items, bins, gains, costs);
-* solves -- the full matching heuristic (kernel items, edge plan, arena,
+* solves -- the full matching heuristic (kernel items, edge plan,
   incremental rounds) vs scalar items solved by the rebuild reference loop
-  of ``tests/reference/rebuild.py`` (no plan, fresh buffers).
+  of ``tests/reference/rebuild.py`` (no plan, no round state).
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -29,7 +27,6 @@ from repro.experiments.instances import (
     build_instance,
     differential_suite,
 )
-from repro.kernels.arena import MatrixArena, thread_arena
 from repro.kernels.items import (
     cost_ladder_array,
     cost_tuple,
@@ -230,9 +227,9 @@ def _solve_signature(problem, algorithm=MatchingHeuristic):
 
 def test_solves_bit_identical_kernels_vs_legacy():
     """End to end: same placements, same reliability and paper-cost floats,
-    same per-round trace, for kernel items + edge plan + arena +
-    incremental rounds and for scalar reference items solved by the
-    rebuild reference loop."""
+    same per-round trace, for kernel items + edge plan + incremental
+    rounds and for scalar reference items solved by the rebuild reference
+    loop."""
     for spec in SPECS:
         with_kernels = _solve_signature(build_instance(spec))
         reference = _solve_signature(_reference_problem(spec), RebuildHeuristic)
@@ -240,41 +237,10 @@ def test_solves_bit_identical_kernels_vs_legacy():
 
 
 def test_arena_on_off_bit_identical():
-    """The arena only changes where scratch memory lives, never results:
-    back-to-back solves reusing this thread's arena equal the rebuild
-    reference loop, which allocates fresh buffers."""
+    """Back-to-back solves of one problem share no state: each equals the
+    rebuild reference loop, which rebuilds every round from the ledger."""
     for spec in SPECS[:12]:
         problem = build_instance(spec)
         base = _solve_signature(problem, RebuildHeuristic)
         assert _solve_signature(problem) == base
-        assert _solve_signature(problem) == base  # reused pools
-
-
-# -- arena contract ------------------------------------------------------------
-
-
-def test_thread_arena_is_per_thread():
-    import threading
-
-    mine = thread_arena()
-    assert thread_arena() is mine
-    other: list[MatrixArena] = []
-    t = threading.Thread(target=lambda: other.append(thread_arena()))
-    t.start()
-    t.join()
-    assert other[0] is not mine
-
-
-def test_arena_refuses_to_pickle():
-    with pytest.raises(TypeError, match="never be pickled"):
-        pickle.dumps(MatrixArena())
-
-
-def test_arena_take_grows_and_reuses():
-    arena = MatrixArena()
-    a = arena.take("x", 8, np.float64)
-    assert arena.take("x", 4, np.float64).base is a.base
-    big = arena.take("x", 100, np.float64)
-    assert big.size == 100
-    ar = arena.arange(10)
-    assert ar.tolist() == list(range(10))
+        assert _solve_signature(problem) == base  # the same problem again

@@ -9,8 +9,8 @@ exactness contract on the canonical instance stream of
   ``tests/reference/rebuild.py`` agree placement by placement, round by
   round (the warm backend's shared dual store keyed by global ids makes
   this non-trivial);
-* the engine leases its scratch from the thread arena, the reference
-  allocates fresh buffers: back-to-back arena solves equal the reference;
+* back-to-back engine solves of one problem share no state: each equals
+  the reference;
 * ``backend=`` argument and ``REPRO_MATCHING`` environment produce the
   bit-identical result;
 * ``"auto"`` is bit-identical to the dense reference at canonical scale
@@ -131,9 +131,9 @@ class TestArenaInvariance:
     @pytest.mark.parametrize("backend", ["sparse", "warm"])
     @pytest.mark.parametrize("spec", SPECS[::6], ids=SPEC_IDS[::6])
     def test_arena_on_off_identical(self, spec, backend, instance_factory):
-        """Back-to-back solves leasing this thread's arena (the second one
-        reuses the first one's buffers) equal the rebuild reference loop,
-        which allocates fresh buffers."""
+        """Back-to-back solves of one problem share no state: each equals
+        the rebuild reference loop, which rebuilds every round from the
+        ledger."""
         problem = instance_factory(spec)
         without = _signature(_solve(problem, backend, RebuildHeuristic), problem)
         for _ in range(2):

@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.arena import MatrixArena
 from repro.matching.mincost import (
     BACKENDS,
     MATCHING_ENV,
@@ -324,27 +323,6 @@ class TestWarmSolver:
         )
         assert sorted((r, c) for r, c, _ in round1) == [(1, 0), (2, 1)]
         assert sum(cost for _, _, cost in round1) == pytest.approx(6.0)
-
-    def test_arena_solves_bit_identical(self):
-        rng = np.random.default_rng(11)
-        triples = [
-            (r, c, float(rng.uniform(0.5, 5.0)))
-            for r in range(6)
-            for c in range(20)
-            if rng.uniform() < 0.4
-        ]
-        args = (
-            list(range(6)),
-            np.arange(20),
-            [t[0] for t in triples],
-            [t[1] for t in triples],
-            [t[2] for t in triples],
-        )
-        plain = DualReusingSolver(6, 20, universe_cost_sum=200.0)
-        leased = DualReusingSolver(
-            6, 20, universe_cost_sum=200.0, arena=MatrixArena()
-        )
-        assert plain.solve_round(*args) == leased.solve_round(*args)
 
     def test_cold_entry_negative_shift_exact(self):
         edges = {(0, 0): -5.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): -5.0}

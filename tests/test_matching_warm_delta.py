@@ -4,19 +4,19 @@ The contract under test (``repro.matching.warmstart``):
 
 * **Exactness** -- every round of :meth:`DualReusingSolver.solve_round_delta`
   equals the scipy big-M dense reference *pair-for-pair* (costs are unique
-  floats, so the optimum is unique), on arbitrary round sequences: shrink
-  (Algorithm 2's consume-matched rounds), edge loss, row loss, **and**
-  growth -- items, edges and rows returning, which is what breaks the JV
-  invariant and exercises the two-pass feasibility repair plus the
-  column-insertion certification;
+  floats, so the optimum is unique) on Algorithm 2's shrinking round
+  sequences: consumed matched items, edge loss, row loss;
+* **Growth is rejected loudly** -- on sequences where items, edges and
+  rows return, each round either raises
+  :class:`~repro.util.errors.ValidationError` or is still exact, and a
+  rejected round leaves the solver's duals, matching and counters
+  untouched;
 * **Engine equivalences** -- the heap sweep == the ``argmin`` scan of
-  ``tests/reference/scan.py``, delta == cold solves,
-  ``edge_idx``/:class:`UniverseIndex` fast path == lexsort path, and
-  arena-leased == freshly-allocated state, all pair-for-pair; on tied
-  costs (many optima) the heap still equals the scan pair-for-pair, while
-  scipy is compared on cardinality and cost only;
-* **Counters** -- :class:`WarmStats` bookkeeping stays consistent and the
-  repair counter actually fires on growth rounds;
+  ``tests/reference/scan.py``, delta == cold solves, and the
+  ``edge_idx``/:class:`UniverseIndex` fast path == lexsort path, all
+  pair-for-pair; on tied costs (many optima) the heap still equals the
+  scan pair-for-pair, while scipy is compared on cardinality and cost only;
+* **Counters** -- :class:`WarmStats` bookkeeping stays consistent;
 * **Validation** -- malformed rounds (out-of-range edge endpoints,
   mismatched ``edge_idx``, unsorted ``cols``) raise
   :class:`~repro.util.errors.ValidationError` instead of corrupting the
@@ -36,7 +36,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.kernels.arena import MatrixArena
 from repro.matching.warmstart import (
     DualReusingSolver,
     UniverseIndex,
@@ -82,22 +81,23 @@ def _universe(rng, max_nodes=6, max_items=8, tied=False):
     return node_order, n_items, e_node, e_item, e_cost
 
 
-def run_round_sequence(seed, adversarial, use_arena=False, tied=False):
+def run_round_sequence(seed, adversarial, tied=False):
     """Drive every engine variant through one random round sequence.
 
     Five solvers see bit-identical rounds -- scan/heap cold, scan/heap
     delta, and heap delta on the ``edge_idx``/:class:`UniverseIndex` fast
-    path -- where "scan" is the reference :class:`ScanSolver`.  With unique
-    costs (``tied=False``) each round of each one is asserted pair-for-pair
-    against :func:`scipy_reference`, so all five agree.  With ``tied=True``
-    the optimum is not unique: scipy is compared on cardinality and cost
-    only, each heap solver pair-for-pair with the scan solver of its mode,
-    and the fast path with the lexsort path.  ``adversarial=True`` biases
-    the stream toward matched items *staying* (the hard case for the
-    delta: stale tight pairs) and turns on growth events (items/edges/rows
-    returning), which is what trips the dual repair.  Returns the total
-    number of repaired duals observed, so callers can assert the repair
-    fired.
+    path -- where "scan" is the reference :class:`ScanSolver`.  Each
+    solver's round either raises :class:`ValidationError` (a rejected
+    grown round) or equals :func:`scipy_reference`: pair-for-pair with
+    unique costs, on cardinality and cost with ``tied=True`` (integer
+    costs, so the optimum is not unique).  Each heap solver must also
+    match the scan solver of its mode, and the fast path the lexsort path:
+    the same rejection or the same pairs, round by round.
+    ``adversarial=False`` is Algorithm 2's shape -- matched items leave,
+    edges and rows only disappear -- and must never be rejected.
+    ``adversarial=True`` biases the stream toward matched items *staying*
+    and turns on growth events (items, edges and rows returning).  Returns
+    the number of rejected solver-rounds.
     """
     rng = np.random.default_rng(seed)
     node_order, n_items, e_node, e_item, e_cost = _universe(rng, tied=tied)
@@ -106,14 +106,7 @@ def run_round_sequence(seed, adversarial, use_arena=False, tied=False):
     big = float(e_cost.sum()) + 1.0
 
     def make(solver=DualReusingSolver, universe=None):
-        # One arena per solver: the warm leases hold *persistent* state
-        # (duals + matching), and arena buffers are name-keyed -- two live
-        # solvers on one arena would alias each other's memory.
-        return solver(
-            node_space, n_items, float(e_cost.sum()),
-            arena=MatrixArena() if use_arena else None,
-            universe=universe,
-        )
+        return solver(node_space, n_items, float(e_cost.sum()), universe=universe)
 
     # tag -> (solver, cold or delta, pass edge_idx)
     tags = {
@@ -128,7 +121,7 @@ def run_round_sequence(seed, adversarial, use_arena=False, tied=False):
     alive_item = np.ones(n_items, dtype=bool)
     alive_edge = np.ones(e_cost.size, dtype=bool)
     matched_items: set[int] = set()
-    repairs = 0
+    rejected = 0
 
     for rnd in range(int(rng.integers(2, 7))):
         if rnd > 0:
@@ -181,16 +174,21 @@ def run_round_sequence(seed, adversarial, use_arena=False, tied=False):
         results = {}
         cols_arr = np.array(cols, dtype=np.intp)
         for name, (solver, mode, use_uni) in tags.items():
-            before = solver.stats.dual_repairs
-            if mode == "cold":
-                out = solver.solve_round(rows, cols_arr, erow, ecol, costs)
-            elif use_uni:
-                out = solver.solve_round_delta(
-                    rows, cols_arr, erow, ecol, costs, edge_idx=eidx
-                )
-            else:
-                out = solver.solve_round_delta(rows, cols_arr, erow, ecol, costs)
-            repairs += solver.stats.dual_repairs - before
+            try:
+                if mode == "cold":
+                    out = solver.solve_round(rows, cols_arr, erow, ecol, costs)
+                elif use_uni:
+                    out = solver.solve_round_delta(
+                        rows, cols_arr, erow, ecol, costs, edge_idx=eidx
+                    )
+                else:
+                    out = solver.solve_round_delta(rows, cols_arr, erow, ecol, costs)
+            except ValidationError as exc:
+                assert "grew" in str(exc), exc
+                assert adversarial, f"seed={seed} round={rnd} tag={name}: {exc}"
+                results[name] = None
+                rejected += 1
+                continue
             got_pairs = sorted((r, c) for r, c, _ in out)
             got_cost = float(sum(c for _, _, c in out))
             same = len(got_pairs) == len(ref_pairs) if tied else got_pairs == ref_pairs
@@ -201,21 +199,17 @@ def run_round_sequence(seed, adversarial, use_arena=False, tied=False):
             )
             results[name] = (got_pairs, got_cost)
 
-        base = results["scan-cold"]
-        pairs = (
-            [("heap-cold", "scan-cold"), ("heap-delta", "scan-delta"),
-             ("heap-universe", "heap-delta")]
-            if tied else [(name, "scan-cold") for name in results]
-        )
-        for name, other in pairs:
+        for name, other in (("heap-cold", "scan-cold"), ("heap-delta", "scan-delta"),
+                            ("heap-universe", "heap-delta")):
             assert results[name] == results[other], (
                 f"seed={seed} round={rnd}: {name} != {other}"
             )
-        matched_items = {cols[c] for _, c in base[0]}
+        base = results["scan-cold"]
+        matched_items = {cols[c] for _, c in base[0]} if base else set()
 
         stats = tags["heap-delta"][0].stats
         assert stats.rows_kept + stats.rows_reaugmented == stats.rows_total
-    return repairs
+    return rejected
 
 
 # -- property tests -----------------------------------------------------------
@@ -230,61 +224,64 @@ def test_delta_equals_cold_equals_scipy_on_shrink_sequences(seed, tied):
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1), tied=st.booleans())
 def test_delta_is_exact_on_growth_sequences(seed, tied):
-    """Resurrection-heavy sequences: the dual repair keeps exactness."""
+    """Resurrection-heavy sequences: each round is rejected or exact."""
     run_round_sequence(seed, adversarial=True, tied=tied)
 
 
 def test_repair_counter_fires_on_growth():
-    """Across adversarial seeds the repair path is actually exercised."""
+    """Across adversarial seeds the growth check actually fires."""
     total = sum(
         run_round_sequence(1000 + s, adversarial=True) for s in range(30)
     )
     assert total > 0
 
 
-def test_arena_leases_are_bit_identical():
-    """Arena-backed solvers replay the same sequences pair-for-pair."""
-    for seed in (7, 1093, 2002):
-        run_round_sequence(seed, adversarial=True, use_arena=True)
+def _one_round_solver():
+    """A solver after one round whose augmenting path popped item 0.
 
-
-def test_snapshot_restore_replays_identically():
-    """``restore()`` rewinds duals + matching: a re-served event round is
-    pair-for-pair identical, and the snapshot holds copies (later rounds
-    don't mutate it).  This is the online-serving checkpoint the benchmark
-    times against."""
-    # Universe edges (row, item) -> cost
-    costs = np.array([1.0, 4.0, 2.0, 3.0, 7.0, 5.0])
-    erow = np.array([0, 0, 1, 1, 2, 2], dtype=np.intp)
-    ecol = np.array([0, 1, 0, 2, 1, 2], dtype=np.intp)
-    s = DualReusingSolver(3, 3, float(costs.sum()))
-    s.solve_round_delta([0, 1, 2], np.array([0, 1, 2]), erow, ecol, costs)
-    state = s.snapshot()
-    u_before = state["u"].copy()
-    # Event round: item 1 fails; live edges remapped to local cols [0, 2].
-    event = (
-        [0, 1, 2],
-        np.array([0, 2]),
-        np.array([0, 1, 1, 2], dtype=np.intp),
-        np.array([0, 0, 1, 1], dtype=np.intp),
-        np.array([1.0, 2.0, 3.0, 5.0]),
+    Row 0 takes item 0 at cost 1, then row 1 (whose only edge is to item
+    0) takes it over and row 0 moves to item 1: global rows 0 -> item 1
+    and 1 -> item 0, with ``u = (5, 5)`` and ``v = (-4, 0)``.
+    """
+    s = DualReusingSolver(2, 2, 20.0)
+    s.solve_round_delta(
+        [0, 1], np.array([0, 1]),
+        np.array([0, 0, 1]), np.array([0, 1, 0]), np.array([1.0, 5.0, 1.0]),
     )
-    first = s.solve_round_delta(*event)
-    assert np.array_equal(state["u"], u_before)  # snapshot is a copy
-    s.restore(state)
-    second = s.solve_round_delta(*event)
-    assert first == second
-    ref_pairs, ref_cost = scipy_reference(
-        3, 2, event[2], event[3], event[4], float(costs.sum()) + 1.0
-    )
-    assert sorted((r, c) for r, c, _ in second) == ref_pairs
-    assert abs(sum(c for _, _, c in second) - ref_cost) < 1e-9
+    return s
 
 
-def test_restore_rejects_mismatched_snapshot():
-    donor = DualReusingSolver(5, 4, 10.0)
-    with pytest.raises(ValidationError, match="snapshot shape mismatch"):
-        _tiny_solver().restore(donor.snapshot())
+#: Round graphs after :func:`_one_round_solver` that are not Algorithm 2's:
+#: item 0 stays after being matched and comes back free at ``v = -4``
+#: (keeping row 0 on item 1 would cost 5 instead of 1), and a new cost-1
+#: edge reaches matched row 1 at reduced cost ``1 - 5 - 0 < 0``.
+GROWN_ROUNDS = {
+    "free column": (
+        [0], np.array([0, 1]), np.array([0, 0]), np.array([0, 1]),
+        np.array([1.0, 5.0]),
+    ),
+    "matched row": (
+        [0, 1], np.array([0, 1]), np.array([0, 0, 1, 1]),
+        np.array([0, 1, 0, 1]), np.array([1.0, 5.0, 1.0, 1.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("grown", list(GROWN_ROUNDS), ids=list(GROWN_ROUNDS))
+def test_rejected_round_leaves_the_solver_unchanged(grown):
+    """A rejected round writes no dual, no matching entry and no counter."""
+    s = _one_round_solver()
+    state = {
+        name: getattr(s, name).copy()
+        for name in ("_u", "_v", "_vd", "_g_col4row", "_g_row4col")
+    }
+    stats = s.stats.as_dict()
+    for solve in (s.solve_round, s.solve_round_delta):
+        with pytest.raises(ValidationError, match="grew"):
+            solve(*GROWN_ROUNDS[grown])
+        for name, before in state.items():
+            assert np.array_equal(getattr(s, name), before), name
+        assert s.stats.as_dict() == stats
 
 
 # -- named regressions --------------------------------------------------------
@@ -295,9 +292,13 @@ def test_stale_pair_mutuality_regression():
     round, so a vanished row kept pointing at its old item; when the row
     resurrected while the item was matched elsewhere, reconciliation
     double-matched the item (two rows on one column).  Seed 1093 of the
-    adversarial stream reproduced it before the mutuality check.
+    adversarial stream reproduced it before the mutuality check.  Now that
+    grown rounds are rejected, seed 1093 no longer reaches such a pair;
+    seed 435 does (without the check its round 2 puts two rows on one
+    column).
     """
-    run_round_sequence(1093, adversarial=True)
+    for seed in (1093, 435):
+        run_round_sequence(seed, adversarial=True)
 
 
 def test_dummy_matched_row_must_reaugment():

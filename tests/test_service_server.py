@@ -184,6 +184,27 @@ class TestAdmissionService:
         assert len(errors) == 1
         assert isinstance(errors[0], ValidationError)
 
+    def test_failing_batch_fails_its_futures_and_later_submits(self):
+        async def scenario():
+            engine = make_engine(seed=16)
+
+            def fail(requests):
+                raise RuntimeError("admission failed")
+
+            engine.admit_batch = fail
+            service = AdmissionService(engine, window=0.005)
+            await service.start()
+            rng = np.random.default_rng(16)
+            future = service.submit(make_request(SETTINGS, _CATALOG, rng, name="x"))
+            with pytest.raises(RuntimeError, match="admission failed"):
+                await asyncio.wait_for(future, timeout=0.5)
+            with pytest.raises(ValidationError, match="batcher died"):
+                service.submit(make_request(SETTINGS, _CATALOG, rng, name="y"))
+            with pytest.raises(RuntimeError, match="admission failed"):
+                await service.stop()
+
+        async_run(scenario())
+
     def test_lifecycle_guards(self):
         async def scenario():
             service = AdmissionService(make_engine(seed=13))
