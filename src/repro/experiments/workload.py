@@ -39,8 +39,12 @@ class TrialInstance:
 def make_network(
     settings: ExperimentSettings, rng: np.random.Generator
 ) -> MECNetwork:
-    """Draw one Waxman topology with cloudlet co-location per Section 7.1."""
-    graph = generate_gtitm_topology(settings.num_aps, rng=rng)
+    """Draw one Waxman topology with cloudlet co-location per Section 7.1.
+
+    The topology carries no ``"pos"`` attributes: nothing downstream reads
+    them, and the positions consume the same draws either way.
+    """
+    graph = generate_gtitm_topology(settings.num_aps, rng=rng, with_positions=False)
     return build_mec_network(
         graph,
         config=CloudletPlacementConfig(

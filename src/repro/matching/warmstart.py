@@ -269,7 +269,6 @@ class DualReusingSolver:
         "_big",
         "_u",
         "_v",
-        "_vd",
         "_universe",
         "_node_space",
         "_item_space",
@@ -313,7 +312,6 @@ class DualReusingSolver:
         self.stats = WarmStats()
         self._u = np.zeros(node_space, dtype=np.float64)
         self._v = np.zeros(item_space, dtype=np.float64)
-        self._vd = np.zeros(node_space, dtype=np.float64)
         self._g_col4row = np.full(node_space, -1, dtype=np.intp)
         self._g_row4col = np.full(item_space, -1, dtype=np.intp)
 
@@ -382,9 +380,12 @@ class DualReusingSolver:
         np.cumsum(counts, out=indptr[1:])
         flat_keys = csr_erow * m + csr_cols
         # Local dual views: u per local row; v_local packs the real columns
-        # first, then row r's dummy column at index m + r.
+        # first, then row r's dummy column at index m + r.  A dummy column's
+        # potential stays zero: a matched one is reached only through its
+        # own row, so no sweep pops it and no dual update touches it.
         u = self._u[rows_idx].copy()
-        v_local = np.concatenate([self._v[cols_idx], self._vd[rows_idx]])
+        v_local = np.zeros(m + n, dtype=np.float64)
+        v_local[:m] = self._v[cols_idx]
         return (
             n, m, rows_idx, cols_idx,
             csr_erow, csr_cols, csr_costs, indptr, flat_keys, u, v_local,
@@ -535,7 +536,6 @@ class DualReusingSolver:
         # Persist the improved potentials for the next round.
         self._u[rows_idx] = u
         self._v[cols_idx] = v_local[:m]
-        self._vd[rows_idx] = v_local[m:]
         stats.rounds += 1
         return self._emit(m, col4row, csr_costs, flat_keys)
 
@@ -635,7 +635,6 @@ class DualReusingSolver:
 
         self._u[rows_idx] = u
         self._v[cols_idx] = v_local[:m]
-        self._vd[rows_idx] = v_local[m:]
 
         # -- persist the matching for the next round's reconciliation --------
         real = col4row < m  # every row is matched now (real col or its dummy)

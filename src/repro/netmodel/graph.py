@@ -37,6 +37,10 @@ class MECNetwork:
 
     Notes
     -----
+    The network keeps a frozen graph as it is (the generators in
+    :mod:`repro.topology.gtitm` return one) and copies any other graph --
+    mutable, or a view over a mutable one -- before freezing the copy.
+
     The network object is immutable after construction; *residual* capacity
     during a run is tracked separately by
     :class:`repro.netmodel.capacity.CapacityLedger` so that several
@@ -57,8 +61,11 @@ class MECNetwork:
             if c < 0:
                 raise ValidationError(f"capacity of node {v!r} must be >= 0, got {c}")
 
-        self._graph = graph.copy()
-        nx.freeze(self._graph)
+        # A view is frozen too, but it follows its mutable base graph.
+        if nx.is_frozen(graph) and not hasattr(graph, "_graph"):
+            self._graph = graph
+        else:
+            self._graph = nx.freeze(graph.copy())
         self._capacity: dict[int, float] = {
             v: float(capacities.get(v, 0.0)) for v in self._graph.nodes
         }
@@ -151,7 +158,7 @@ class MECNetwork:
         return nx.diameter(self._graph)
 
     def with_capacities(self, capacities: Mapping[int, float]) -> "MECNetwork":
-        """A copy of this network with a different capacity assignment."""
+        """This network with a different capacity assignment (same graph)."""
         return MECNetwork(self._graph, capacities)
 
     def scaled_capacities(self, fraction: float) -> dict[int, float]:

@@ -206,17 +206,24 @@ class AdmissionService:
         self._task = asyncio.get_running_loop().create_task(self._batcher())
 
     async def stop(self) -> None:
-        """Drain the queue, then cancel the batcher."""
+        """Drain the queue, then cancel the batcher.
+
+        A batcher that died re-raises its error here, once: the service is
+        stopped all the same, so a second ``stop()`` returns and
+        :meth:`start` works again.
+        """
         if self._task is None:
             return
         self._closing = True
-        await self._drain()
-        self._task.cancel()
+        task, self._task = self._task, None
         try:
-            await self._task
-        except asyncio.CancelledError:
-            pass
-        self._task = None
+            await self._drain()
+        finally:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
 
     # -- submission -------------------------------------------------------------
     def submit(

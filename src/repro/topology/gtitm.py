@@ -50,10 +50,38 @@ class WaxmanParameters:
             raise ValidationError(f"beta must be in (0, 1], got {self.beta}")
 
 
-def _pairwise_distances(pos: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix of an ``(n, 2)`` coordinate array."""
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))
+# Rows of the Waxman draw handled per block: large enough that NumPy's
+# per-call overhead vanishes at the paper's 100 APs, small enough that the
+# draw of a 4,096-AP replay topology holds no temporary larger than
+# ``256 x n``.
+_BLOCK_ROWS = 256
+
+
+def _waxman_edges(
+    pos: np.ndarray, params: WaxmanParameters, gen: np.random.Generator
+) -> list[tuple[int, int]]:
+    """The Waxman edges ``(u, v)``, ``u < v``, in row-major order.
+
+    The ``n x n`` uniform matrix is drawn block by block in row order,
+    which is the same stream as one ``(n, n)`` draw.  Each block's
+    distances and probabilities use the same IEEE operations as a whole
+    matrix would, so every edge decision is the same.
+    """
+    n = pos.shape[0]
+    x = pos[:, 0]
+    y = pos[:, 1]
+    scale = params.beta * math.sqrt(2.0)
+    edges: list[tuple[int, int]] = []
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        draws = gen.uniform(0.0, 1.0, size=(stop - start, n))
+        dx = x[start:stop, None] - x
+        dy = y[start:stop, None] - y
+        dist = np.sqrt(dx * dx + dy * dy)
+        prob = params.alpha * np.exp(-dist / scale)
+        iu, jv = np.nonzero(np.triu(draws < prob, k=start + 1))
+        edges.extend(zip((iu + start).tolist(), jv.tolist()))
+    return edges
 
 
 def _connect_components(graph: nx.Graph, pos: np.ndarray) -> None:
@@ -96,12 +124,15 @@ def generate_gtitm_topology(
         Seed or generator for reproducibility.
     with_positions:
         When True, node attribute ``"pos"`` carries the unit-square
-        coordinates (used by the repair pass and handy for plotting).
+        coordinates (handy for plotting; the repair pass reads the
+        coordinate array, not these attributes).
 
     Returns
     -------
     networkx.Graph
-        A connected undirected graph on nodes ``0 .. num_nodes-1``.
+        A connected undirected graph on nodes ``0 .. num_nodes-1``, frozen
+        (``.copy()`` gives a mutable one).  :class:`MECNetwork` shares a
+        frozen graph instead of copying it.
     """
     if num_nodes <= 0:
         raise ValidationError(f"num_nodes must be positive, got {num_nodes}")
@@ -110,22 +141,17 @@ def generate_gtitm_topology(
 
     pos = gen.uniform(0.0, 1.0, size=(num_nodes, 2))
     graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
+    if with_positions:
+        graph.add_nodes_from(
+            (v, {"pos": (x, y)}) for v, (x, y) in enumerate(pos.tolist())
+        )
+    else:
+        graph.add_nodes_from(range(num_nodes))
 
     if num_nodes > 1:
-        dist = _pairwise_distances(pos)
-        max_dist = math.sqrt(2.0)
-        prob = params.alpha * np.exp(-dist / (params.beta * max_dist))
-        draws = gen.uniform(0.0, 1.0, size=(num_nodes, num_nodes))
-        iu, ju = np.triu_indices(num_nodes, k=1)
-        mask = draws[iu, ju] < prob[iu, ju]
-        graph.add_edges_from(zip(iu[mask].tolist(), ju[mask].tolist()))
+        graph.add_edges_from(_waxman_edges(pos, params, gen))
         _connect_components(graph, pos)
-
-    if with_positions:
-        for v in graph.nodes:
-            graph.nodes[v]["pos"] = (float(pos[v, 0]), float(pos[v, 1]))
-    return graph
+    return nx.freeze(graph)
 
 
 def expected_edge_probability(params: WaxmanParameters, distance: float) -> float:

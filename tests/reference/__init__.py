@@ -11,5 +11,8 @@ switch in the library:
   incremental rounds;
 * :mod:`tests.reference.scan` -- the full-array ``argmin`` sweep of the
   warm LAP core, the reference for the heap sweep of
-  :class:`repro.matching.warmstart.DualReusingSolver`.
+  :class:`repro.matching.warmstart.DualReusingSolver`;
+* :mod:`tests.reference.waxman` -- the whole-matrix Waxman generator with
+  its pairwise component join, the reference for the row-blocked
+  :func:`repro.topology.gtitm.generate_gtitm_topology`.
 """

@@ -273,7 +273,7 @@ def test_rejected_round_leaves_the_solver_unchanged(grown):
     s = _one_round_solver()
     state = {
         name: getattr(s, name).copy()
-        for name in ("_u", "_v", "_vd", "_g_col4row", "_g_row4col")
+        for name in ("_u", "_v", "_g_col4row", "_g_row4col")
     }
     stats = s.stats.as_dict()
     for solve in (s.solve_round, s.solve_round_delta):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.netmodel.graph import MECNetwork, induced_cloudlet_subgraph, validate_node_ids
 from repro.topology.families import grid_topology, line_topology, star_topology
+from repro.topology.gtitm import generate_gtitm_topology
 from repro.util.errors import ValidationError
 
 
@@ -66,6 +67,28 @@ class TestConstruction:
         network = MECNetwork(graph, {0: 10.0})
         graph.add_edge(0, 2)  # mutating the source must not affect the network
         assert network.num_edges == 2
+
+    def test_generated_graph_is_frozen(self):
+        graph = generate_gtitm_topology(20, rng=4)
+        with pytest.raises(nx.NetworkXError):
+            graph.add_edge(0, 1)
+
+    def test_frozen_graph_shared(self):
+        graph = nx.freeze(line_topology(3))
+        network = MECNetwork(graph, {0: 10.0})
+        assert network.graph is graph
+
+    def test_with_capacities_shares_graph(self, ring_network):
+        other = ring_network.with_capacities({1: 50.0})
+        assert other.graph is ring_network.graph
+        assert other.cloudlets == (1,)
+
+    def test_subgraph_view_copied(self):
+        base = line_topology(4)
+        network = MECNetwork(base.subgraph([0, 1, 2]), {0: 10.0})
+        base.add_edge(0, 2)  # the view follows its base; the network must not
+        assert network.num_edges == 2
+        assert network.graph is not base
 
 
 class TestQueries:

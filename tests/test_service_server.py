@@ -205,6 +205,34 @@ class TestAdmissionService:
 
         async_run(scenario())
 
+    def test_restart_after_failing_batch(self):
+        async def scenario():
+            engine = make_engine(seed=17)
+            admit_batch = engine.admit_batch
+
+            def fail(requests):
+                raise RuntimeError("admission failed")
+
+            engine.admit_batch = fail
+            service = AdmissionService(engine, window=0.005)
+            await service.start()
+            rng = np.random.default_rng(17)
+            future = service.submit(make_request(SETTINGS, _CATALOG, rng, name="x"))
+            with pytest.raises(RuntimeError, match="admission failed"):
+                await asyncio.wait_for(future, timeout=0.5)
+            with pytest.raises(RuntimeError, match="admission failed"):
+                await service.stop()
+            await service.stop()  # the error was re-raised once
+            engine.admit_batch = admit_batch
+            await service.start()
+            future = service.submit(make_request(SETTINGS, _CATALOG, rng, name="y"))
+            record = await asyncio.wait_for(future, timeout=5.0)
+            await service.stop()
+            return record
+
+        record = async_run(scenario())
+        assert record.name == "y"
+
     def test_lifecycle_guards(self):
         async def scenario():
             service = AdmissionService(make_engine(seed=13))
