@@ -1,7 +1,7 @@
 """The paper's three algorithms plus baselines.
 
 * :class:`~repro.algorithms.ilp_exact.ILPAlgorithm` -- the exact "ILP"
-  comparator of Section 4 (HiGHS MILP or the from-scratch branch-and-bound);
+  comparator of Section 4 (the aggregated model on HiGHS MILP);
 * :class:`~repro.algorithms.randomized.RandomizedRounding` -- Algorithm 1,
   LP relaxation + exclusive randomized rounding (may violate capacity;
   Theorem 5.2 bounds the violation by 2x w.h.p.);

@@ -6,7 +6,7 @@ length 20, and a pathological instance (or a solver bug) would stall every
 request behind it.  :class:`FallbackAlgorithm` wraps an ordered list of
 tiers -- by default exact first, cheapest last::
 
-    ILP (HiGHS)  ->  branch-and-bound  ->  matching heuristic  ->  greedy
+    ILP (HiGHS)  ->  matching heuristic  ->  greedy
 
 Each tier gets a per-solve wall-clock budget; a tier that times out or
 raises is skipped and the next (cheaper, more robust) tier serves the
@@ -17,14 +17,17 @@ through tail latency.  Only when every tier fails does the chain raise
 :class:`~repro.util.errors.FallbackExhaustedError` -- which the resilient
 stream converts into a no-augmentation outcome rather than propagating.
 
-Timeouts run the solve on a *daemon* worker thread and abandon it on
-expiry.  That is safe here because every algorithm is pure with respect to
-shared state: solvers read the immutable :class:`AugmentationProblem` and
+Timeouts run the solve on a worker thread and abandon it on expiry: the
+chain moves on at the timeout, so a tier's budget bounds its latency.
+That is safe here because every algorithm is pure with respect to shared
+state: solvers read the immutable :class:`AugmentationProblem` and
 scribble only on their own fresh
 :meth:`~repro.core.problem.AugmentationProblem.ledger`, so an abandoned
-solve can never corrupt the stream's ledger.  The thread must be a daemon:
-a pathological MILP can outlive its budget by minutes, and a non-daemon
-worker would block interpreter exit until it finished.
+solve can never corrupt the stream's ledger.  The worker is not a daemon:
+interpreter exit waits for an abandoned solve to return.  A daemon worker
+still inside native HiGHS code when the interpreter tears down aborts the
+process (``terminate called without an active exception``, exit code 134)
+instead of exiting cleanly.
 """
 
 from __future__ import annotations
@@ -74,11 +77,12 @@ def solve_with_timeout(
     """Run one solve under a wall-clock budget.
 
     ``timeout=None`` calls the algorithm inline (no thread).  Otherwise the
-    solve runs on a daemon worker thread; expiry raises
+    solve runs on a worker thread; expiry raises
     :class:`~repro.util.errors.SolveTimeoutError` and the thread is
-    abandoned (it finishes in the background; its result is discarded --
-    safe because solves never touch shared state, and a daemon so it can
-    never block interpreter exit).
+    abandoned (it finishes in the background and its result is discarded
+    -- safe because solves never touch shared state).  The worker is not a
+    daemon, so interpreter exit waits for an abandoned solve to return
+    rather than tearing the interpreter down under a native solver.
     """
     if timeout is None:
         return algorithm.solve(problem, rng=rng)
@@ -90,9 +94,7 @@ def solve_with_timeout(
         except BaseException as exc:  # noqa: BLE001 -- re-raised on the caller
             outcome.append((False, exc))
 
-    worker = threading.Thread(
-        target=run, name=f"solve:{algorithm.name}", daemon=True
-    )
+    worker = threading.Thread(target=run, name=f"solve:{algorithm.name}")
     worker.start()
     worker.join(timeout)
     if not outcome:
@@ -186,10 +188,9 @@ class FallbackAlgorithm(AugmentationAlgorithm):
 
 def default_fallback_chain(
     ilp_timeout: float | None = 2.0,
-    bnb_timeout: float | None = 1.0,
     heuristic_timeout: float | None = 0.5,
 ) -> FallbackAlgorithm:
-    """The standard ladder: exact -> exact-from-scratch -> heuristic -> greedy.
+    """The standard ladder: exact -> heuristic -> greedy.
 
     The greedy terminal tier has no timeout: it is O(items log items) and
     must always produce *an* answer so the stream never starves.
@@ -200,8 +201,7 @@ def default_fallback_chain(
 
     return FallbackAlgorithm(
         [
-            FallbackTier(ILPAlgorithm(backend="highs"), timeout=ilp_timeout),
-            FallbackTier(ILPAlgorithm(backend="bnb"), timeout=bnb_timeout),
+            FallbackTier(ILPAlgorithm(), timeout=ilp_timeout),
             FallbackTier(MatchingHeuristic(), timeout=heuristic_timeout),
             FallbackTier(GreedyGain(), timeout=None),
         ]

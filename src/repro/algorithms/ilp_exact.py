@@ -1,16 +1,17 @@
 """The exact "ILP" comparator (Section 4.4).
 
-Builds the assignment model of Eqs. (8)-(13), solves it to proven
-optimality, decodes the selected items, and -- matching the problem's
-"until its reliability expectation is reached" semantics -- trims any
-overshoot beyond ``rho_j`` (see DESIGN.md section 1 and
+Builds the symmetry-free aggregated model of the ILP of Eqs. (8)-(13)
+(:func:`repro.solvers.model.build_aggregated_model`), solves it to proven
+optimality with HiGHS, decodes the selected items, and -- matching the
+problem's "until its reliability expectation is reached" semantics --
+trims any overshoot beyond ``rho_j`` (see DESIGN.md section 1 and
 :func:`repro.core.solution.trim_to_expectation`).
 
 By Lemma 4.2 the exact optimum selects, for every chain position, a prefix
-``k = 1..m_i`` of that position's items; a defensive prefix repair converts
-any solver tie-broken non-prefix selection (possible because items of equal
-``k`` distance have equal gains) into the canonical prefix form without
-changing counts, bins, or the objective.
+``k = 1..m_i`` of that position's items; the aggregated decode assigns
+exactly that prefix.  :func:`repair_prefix` converts any other selection
+into the canonical prefix form without changing counts, bins, or the
+objective; the heuristic, Algorithm 1 and the repair pass call it.
 """
 
 from __future__ import annotations
@@ -22,14 +23,10 @@ from repro.algorithms.base import (
 )
 from repro.core.problem import AugmentationProblem
 from repro.core.solution import AugmentationResult, AugmentationSolution
-from repro.solvers.branch_and_bound import BnBOptions
-from repro.solvers.ilp import solve_ilp, solve_ilp_aggregated
-from repro.solvers.model import build_aggregated_model, build_model
-from repro.util.errors import ValidationError
+from repro.solvers.ilp import solve_ilp_aggregated
+from repro.solvers.model import build_aggregated_model
 from repro.util.rng import RandomState
 from repro.util.timing import Stopwatch
-
-FORMULATIONS = ("aggregated", "assignment")
 
 
 def repair_prefix(
@@ -57,48 +54,21 @@ def repair_prefix(
 class ILPAlgorithm(AugmentationAlgorithm):
     """Exact augmentation by integer linear programming.
 
+    Solves the aggregated reformulation (gain steps + per-bin counts),
+    whose optimum equals the literal per-(item, bin) model's with none of
+    its bin symmetry.
+
     Parameters
     ----------
-    backend:
-        ``"highs"`` (scipy's MILP; default) or ``"bnb"`` (the from-scratch
-        branch-and-bound).
-    formulation:
-        ``"aggregated"`` (default) -- the symmetry-free reformulation
-        (gain steps + per-bin counts), exactly equivalent and orders of
-        magnitude faster on wide-radius instances; ``"assignment"`` -- the
-        paper's literal Eqs. (8)-(13) per-(item, bin) binaries.  The
-        ``"bnb"`` backend implies ``"assignment"`` (it solves 0/1 boxes).
     stop_at_expectation:
         Trim placements beyond ``rho_j`` (default True -- the problem
         statement's stopping rule).
-    budget_cap:
-        Optional explicit budget row ``sum gain x <= cap``; only supported
-        by the assignment formulation (ablation use).
-    bnb_options:
-        Options for the ``"bnb"`` backend.
     """
 
     name = "ILP"
 
-    def __init__(
-        self,
-        backend: str = "highs",
-        formulation: str = "aggregated",
-        stop_at_expectation: bool = True,
-        budget_cap: float | None = None,
-        bnb_options: BnBOptions | None = None,
-    ):
-        if formulation not in FORMULATIONS:
-            raise ValidationError(
-                f"unknown formulation {formulation!r}; choose from {FORMULATIONS}"
-            )
-        if backend == "bnb" or budget_cap is not None:
-            formulation = "assignment"
-        self.backend = backend
-        self.formulation = formulation
+    def __init__(self, stop_at_expectation: bool = True):
         self.stop_at_expectation = stop_at_expectation
-        self.budget_cap = budget_cap
-        self.bnb_options = bnb_options
 
     def solve(
         self, problem: AugmentationProblem, rng: RandomState = None
@@ -117,16 +87,11 @@ class ILPAlgorithm(AugmentationAlgorithm):
             )
 
         with Stopwatch() as sw:
-            if self.formulation == "aggregated":
-                model_vars, ilp = self._solve_aggregated(problem)
-            else:
-                model = build_model(problem, budget_cap=self.budget_cap)
-                model_vars = model.num_vars
-                ilp = solve_ilp(
-                    model, backend=self.backend, bnb_options=self.bnb_options
-                )
-            assignments = repair_prefix(problem, ilp.assignments)
-            solution = AugmentationSolution.from_assignments(problem, assignments)
+            model = build_aggregated_model(problem)
+            ilp = solve_ilp_aggregated(model)
+            solution = AugmentationSolution.from_assignments(
+                problem, ilp.assignments
+            )
 
         return finalize_result(
             problem,
@@ -135,15 +100,8 @@ class ILPAlgorithm(AugmentationAlgorithm):
             runtime_seconds=sw.elapsed,
             stop_at_expectation=self.stop_at_expectation,
             meta={
-                "backend": self.backend,
-                "formulation": self.formulation,
                 "optimal_gain": ilp.total_gain,
-                "num_vars": model_vars,
+                "num_vars": model.num_vars,
                 **ilp.meta,
             },
         )
-
-    @staticmethod
-    def _solve_aggregated(problem: AugmentationProblem):
-        model = build_aggregated_model(problem)
-        return model.num_vars, solve_ilp_aggregated(model)

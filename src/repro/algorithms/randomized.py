@@ -80,19 +80,12 @@ class RandomizedRounding(AugmentationAlgorithm):
     ----------
     stop_at_expectation:
         Trim overshoot beyond ``rho_j`` (default True).
-    repair_prefixes:
-        Re-key rounded selections to per-position prefixes (default True).
     """
 
     name = "Randomized"
 
-    def __init__(
-        self,
-        stop_at_expectation: bool = True,
-        repair_prefixes: bool = True,
-    ):
+    def __init__(self, stop_at_expectation: bool = True):
         self.stop_at_expectation = stop_at_expectation
-        self.repair_prefixes = repair_prefixes
 
     def solve(
         self, problem: AugmentationProblem, rng: RandomState = None
@@ -114,9 +107,7 @@ class RandomizedRounding(AugmentationAlgorithm):
         with Stopwatch() as sw:
             model = build_model(problem)
             lp = solve_lp(model)
-            assignments = round_exclusively(model, lp, gen)
-            if self.repair_prefixes:
-                assignments = repair_prefix(problem, assignments)
+            assignments = repair_prefix(problem, round_exclusively(model, lp, gen))
             solution = AugmentationSolution.from_assignments(problem, assignments)
 
         return finalize_result(

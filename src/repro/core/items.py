@@ -59,6 +59,13 @@ from repro.util.errors import ValidationError
 # shared across items, problems, and batch requests drawn from one catalog.
 # Entries are produced by the exact same scalar functions as before, so
 # cached and uncached values are bit-identical.
+#
+# A sweep draws a fresh catalog, with new reliabilities, for every trial, and
+# no later trial hits them; so a memo that reaches ``_LADDER_MEMO_LIMIT``
+# reliabilities is emptied before it takes another.  A replay's catalog
+# (a few dozen types) never reaches the limit.
+
+_LADDER_MEMO_LIMIT = 1024
 
 _LADDER_CACHES: dict[str, dict[float, list[float]]] = {
     "cost": {},
@@ -71,6 +78,8 @@ def _extend_ladder(kind: str, r: float, length: int, compute) -> list[float]:
     cache = _LADDER_CACHES[kind]
     ladder = cache.get(r)
     if ladder is None:
+        if len(cache) >= _LADDER_MEMO_LIMIT:
+            cache.clear()
         ladder = cache[r] = []
     while len(ladder) < length:
         ladder.append(compute(len(ladder)))

@@ -168,7 +168,7 @@ class AugmentationResult:
         Cloudlet -> capacity excess for violated cloudlets (empty for the
         exact and heuristic algorithms).
     meta:
-        Algorithm-specific extras (LP optimum, matching rounds, B&B nodes...).
+        Algorithm-specific extras (LP optimum, matching rounds, MIP gap...).
     """
 
     algorithm: str

@@ -24,7 +24,8 @@ def clear_kernel_caches() -> None:
 
     For benchmarks that must measure *cold* construction and for tests;
     production code never needs it -- cache memory is bounded by the
-    graphs and distinct reliabilities alive in the process.
+    graphs alive in the process and by the ladder memos' reliability
+    limit.
     """
     from repro.kernels import csr, items
 

@@ -43,6 +43,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.core.items import (
+    _LADDER_MEMO_LIMIT,
     BackupItem,
     ItemGenerationConfig,
     _budget_cap,
@@ -57,6 +58,9 @@ _SLACK = 1e-9
 
 
 # -- bit-identical ladder tuples ----------------------------------------------
+#
+# Bounded like the scalar ladder memos they are built from: each memo is
+# emptied when it reaches ``_LADDER_MEMO_LIMIT`` reliabilities.
 
 _COST_TUPLES: dict[float, tuple[float, ...]] = {}
 _GAIN_TUPLES: dict[float, tuple[float, ...]] = {}
@@ -72,6 +76,8 @@ def cost_tuple(reliability: float, k_max: int) -> tuple[float, ...]:
     """
     ladder = _COST_TUPLES.get(reliability)
     if ladder is None or len(ladder) < k_max:
+        if ladder is None and len(_COST_TUPLES) >= _LADDER_MEMO_LIMIT:
+            _COST_TUPLES.clear()
         ladder = paper_cost_ladder(reliability, max(k_max, 8))
         _COST_TUPLES[reliability] = ladder
     return ladder
@@ -82,6 +88,8 @@ def gain_tuple(reliability: float, k_max: int) -> tuple[float, ...]:
     :func:`cost_tuple`, values from :func:`repro.core.items.gain_ladder`."""
     ladder = _GAIN_TUPLES.get(reliability)
     if ladder is None or len(ladder) < k_max:
+        if ladder is None and len(_GAIN_TUPLES) >= _LADDER_MEMO_LIMIT:
+            _GAIN_TUPLES.clear()
         ladder = gain_ladder(reliability, max(k_max, 8))
         _GAIN_TUPLES[reliability] = ladder
     return ladder

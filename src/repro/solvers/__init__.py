@@ -4,22 +4,23 @@ The paper formulates the augmentation problem as an integer linear program
 over binary variables ``x_{i,k,u}`` ("the k-th secondary of position i goes
 to cloudlet u").  This subpackage provides:
 
-* :mod:`~repro.solvers.model` -- the shared sparse constraint-matrix
-  builder implementing Eqs. (8)-(13), with Eqs. (11)-(13) realised as
-  variable elimination (variables are only created for allowed
-  item-bin pairs);
-* :mod:`~repro.solvers.lp` -- the LP relaxation (``x in [0, 1]``) solved
-  with HiGHS via :func:`scipy.optimize.linprog`; feeds Algorithm 1;
-* :mod:`~repro.solvers.ilp` -- exact 0/1 solutions via HiGHS MILP
-  (:func:`scipy.optimize.milp`) or the from-scratch solver below;
-* :mod:`~repro.solvers.branch_and_bound` -- a pure-Python best-first
-  branch-and-bound MILP built on the LP relaxation, substituting for the
-  commercial solvers the paper implies (PuLP/Gurobi are not available
-  offline); cross-validated against HiGHS in the test suite.
+* :mod:`~repro.solvers.model` -- the sparse constraint-matrix builders:
+  the literal Eqs. (8)-(13) assignment model, with Eqs. (11)-(13) realised
+  as variable elimination (variables are only created for allowed
+  item-bin pairs), and its symmetry-free aggregated reformulation;
+* :mod:`~repro.solvers.lp` -- the LP relaxation (``x in [0, 1]``) of the
+  assignment model, solved with HiGHS via :func:`scipy.optimize.linprog`;
+  feeds Algorithm 1;
+* :mod:`~repro.solvers.ilp` -- the exact 0/1 optimum of the aggregated
+  model via HiGHS MILP (:func:`scipy.optimize.milp`);
+* :mod:`~repro.solvers.multi` -- the exact joint multi-request solver.
+
+The assignment ILP and a pure-Python branch-and-bound (PuLP/Gurobi are not
+available offline) are kept in ``tests/reference/`` as the oracles the
+aggregated optimum is checked against.
 """
 
-from repro.solvers.branch_and_bound import BnBOptions, solve_bnb
-from repro.solvers.ilp import ILPSolution, solve_ilp, solve_ilp_aggregated
+from repro.solvers.ilp import ILPSolution, solve_ilp_aggregated
 from repro.solvers.lp import LPSolution, solve_lp
 from repro.solvers.model import (
     AggregatedModel,
@@ -32,14 +33,11 @@ from repro.solvers.multi import JointSolution, solve_joint
 __all__ = [
     "AggregatedModel",
     "AssignmentModel",
-    "BnBOptions",
     "JointSolution",
     "ILPSolution",
     "LPSolution",
     "build_aggregated_model",
     "build_model",
-    "solve_bnb",
-    "solve_ilp",
     "solve_ilp_aggregated",
     "solve_joint",
     "solve_lp",

@@ -1,15 +1,11 @@
 """Exact 0/1 solutions of the augmentation ILP.
 
-Two interchangeable exact backends:
-
-* ``"highs"`` -- :func:`scipy.optimize.milp` (the HiGHS branch-and-cut);
-* ``"bnb"`` -- the from-scratch pure-Python branch-and-bound of
-  :mod:`repro.solvers.branch_and_bound`.
-
-Both return provably optimal solutions; the test suite asserts equal
-objectives on shared instances.  The experiment harness uses ``"highs"``
-(the "ILP" curve of the figures), while ``"bnb"`` exists to keep the
-reproduction self-contained and to serve the solver ablation bench.
+One engine: the symmetry-free aggregated model of
+:func:`repro.solvers.model.build_aggregated_model`, solved by HiGHS
+(:func:`scipy.optimize.milp`).  It is the "ILP" curve of the figures.  The
+paper's literal assignment model, solved by HiGHS or by a pure-Python
+branch-and-bound, lives in ``tests/reference/`` as the oracle the test
+suite checks this optimum against.
 """
 
 from __future__ import annotations
@@ -19,16 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.solvers.branch_and_bound import BnBOptions, solve_bnb
-from repro.solvers.model import (
-    AggregatedModel,
-    AssignmentModel,
-    assignments_from_aggregated,
-    assignments_from_values,
-)
-from repro.util.errors import InfeasibleError, ValidationError
-
-BACKENDS = ("highs", "bnb")
+from repro.solvers.model import AggregatedModel, assignments_from_aggregated
+from repro.util.errors import InfeasibleError
 
 
 @dataclass(frozen=True)
@@ -42,7 +30,7 @@ class ILPSolution:
     assignments:
         ``(position, k) -> bin`` for selected items.
     meta:
-        Backend diagnostics (node counts etc.).
+        Backend diagnostics (MIP gap etc.).
     """
 
     objective: float
@@ -60,59 +48,14 @@ class ILPSolution:
         return len(self.assignments)
 
 
-def solve_ilp(
-    model: AssignmentModel,
-    backend: str = "highs",
-    bnb_options: BnBOptions | None = None,
-) -> ILPSolution:
-    """Solve the ILP exactly with the chosen backend."""
-    if backend not in BACKENDS:
-        raise ValidationError(f"unknown ILP backend {backend!r}; choose from {BACKENDS}")
-    if backend == "bnb":
-        bnb = solve_bnb(model, options=bnb_options)
-        return ILPSolution(
-            objective=bnb.objective,
-            assignments=assignments_from_values(model, bnb.values),
-            meta={"backend": "bnb", "nodes": bnb.nodes_explored},
-        )
-
-    constraints = LinearConstraint(
-        model.a_ub, ub=model.b_ub, lb=np.full(model.num_constraints, -np.inf)
-    )
-    result = milp(
-        c=model.objective,
-        constraints=constraints,
-        integrality=np.ones(model.num_vars),
-        bounds=Bounds(0.0, 1.0),
-        # HiGHS's default relative MIP gap (1e-4) lets it stop with enough
-        # suboptimality for the heuristic to "beat" the "exact" solution on
-        # tail items with ~1e-7 gains; an exact-zero gap makes it prove
-        # optimality through massive bin symmetry (minutes on unrestricted-
-        # radius instances).  1e-7 relative keeps the error far below the
-        # 1e-6 absolute exactness the repository guarantees (objectives are
-        # O(1) nats) while pruning symmetric ties.
-        options={"mip_rel_gap": 1e-7},
-    )
-    if not result.success:
-        raise InfeasibleError(f"MILP failed: {result.message}")
-    values = np.rint(np.asarray(result.x, dtype=float))
-    # Recompute the objective from the rounded values so tiny solver noise in
-    # result.fun cannot leak into optimality comparisons.
-    objective = float(model.objective @ values)
-    return ILPSolution(
-        objective=objective,
-        assignments=assignments_from_values(model, values),
-        meta={"backend": "highs", "mip_gap": float(getattr(result, "mip_gap", 0.0) or 0.0)},
-    )
-
-
 def solve_ilp_aggregated(model: AggregatedModel) -> ILPSolution:
     """Solve the symmetry-free aggregated formulation with HiGHS.
 
-    Equivalent optimum to :func:`solve_ilp` on the same instance's
-    assignment model (the test suite pins this), but orders of magnitude
-    faster on wide-radius instances where bin symmetry cripples the
-    literal formulation.
+    Its optimum equals the literal assignment model's on the same instance
+    (the test suite pins this against the assignment-ILP and
+    branch-and-bound oracles), but it is orders of magnitude faster on
+    wide-radius instances where bin symmetry cripples the literal
+    formulation.
     """
     constraints = [
         LinearConstraint(

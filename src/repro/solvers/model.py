@@ -10,10 +10,10 @@ Constraints.
 * Eq. (8) -- each item is placed at most once: for every item ``(i, k)``,
   ``sum_u x_{i,k,u} <= 1``;
 * Eq. (9) -- cloudlet capacity: for every cloudlet ``u``,
-  ``sum_{(i,k)} c(f_i) x_{i,k,u} <= C'_u``;
-* optionally, a budget row ``sum gain_{i,k} x_{i,k,u} <= cap`` used by the
-  budget-capped ablation (the default pipeline instead trims overshoot
-  after solving; see :func:`repro.core.solution.trim_to_expectation`).
+  ``sum_{(i,k)} c(f_i) x_{i,k,u} <= C'_u``.
+
+There is no budget row: the pipeline trims overshoot after solving (see
+:func:`repro.core.solution.trim_to_expectation`).
 
 Objective.  The solvers *minimise* ``c @ x`` with ``c = -gain``, i.e. they
 maximise the total reliability gain -- the internally consistent reading of
@@ -45,8 +45,7 @@ class AssignmentModel:
     objective:
         The minimisation vector ``c`` (negated gains).
     a_ub, b_ub:
-        Sparse inequality system (item rows, then capacity rows, then the
-        optional budget row).
+        Sparse inequality system (item rows, then capacity rows).
     item_rows, capacity_rows:
         Row-index ranges for diagnostics and tests.
     """
@@ -57,7 +56,6 @@ class AssignmentModel:
     b_ub: np.ndarray
     item_rows: range
     capacity_rows: range
-    budget_row: int | None = None
 
     @property
     def num_vars(self) -> int:
@@ -77,19 +75,13 @@ class AssignmentModel:
             raise KeyError(f"no variable {key}") from None
 
 
-def build_model(
-    problem: AugmentationProblem,
-    budget_cap: float | None = None,
-) -> AssignmentModel:
+def build_model(problem: AugmentationProblem) -> AssignmentModel:
     """Assemble the sparse model of an augmentation problem instance.
 
     Parameters
     ----------
     problem:
         The instance (items already generated/truncated).
-    budget_cap:
-        When given, adds ``sum gain x <= budget_cap``.  The paper's budget
-        ``C = -log rho_j`` may be passed here for the capped variant.
 
     Raises
     ------
@@ -134,17 +126,6 @@ def build_model(
         vals.append(demands[col])
     num_rows = num_item_rows + len(bins_in_use)
 
-    budget_row: int | None = None
-    if budget_cap is not None:
-        if budget_cap < 0:
-            raise ValidationError(f"budget_cap must be >= 0, got {budget_cap}")
-        budget_row = num_rows
-        for col in range(num_vars):
-            rows.append(budget_row)
-            cols.append(col)
-            vals.append(gains[col])
-        num_rows += 1
-
     a_ub = sparse.csr_matrix(
         (vals, (rows, cols)), shape=(num_rows, num_vars), dtype=float
     )
@@ -152,8 +133,6 @@ def build_model(
     b_ub[:num_item_rows] = 1.0
     for u, r in cap_row_of.items():
         b_ub[r] = problem.residuals.get(u, 0.0)
-    if budget_row is not None:
-        b_ub[budget_row] = budget_cap
 
     return AssignmentModel(
         var_keys=tuple(var_keys),
@@ -162,7 +141,6 @@ def build_model(
         b_ub=b_ub,
         item_rows=range(0, num_item_rows),
         capacity_rows=range(num_item_rows, num_item_rows + len(bins_in_use)),
-        budget_row=budget_row,
     )
 
 
@@ -325,21 +303,3 @@ def assignments_from_aggregated(
             assignments[(pos, k)] = u
     return assignments
 
-
-def assignments_from_values(
-    model: AssignmentModel, values: np.ndarray, threshold: float = 0.5
-) -> dict[tuple[int, int], int]:
-    """Decode a 0/1 (or rounded) solution vector into item -> bin assignments.
-
-    Values above ``threshold`` are treated as selected; if several bins of
-    one item exceed the threshold (possible only for malformed inputs), the
-    largest value wins.
-    """
-    chosen: dict[tuple[int, int], tuple[float, int]] = {}
-    for col, (pos, k, u) in enumerate(model.var_keys):
-        val = float(values[col])
-        if val > threshold:
-            prev = chosen.get((pos, k))
-            if prev is None or val > prev[0]:
-                chosen[(pos, k)] = (val, u)
-    return {key: bin_ for key, (_v, bin_) in chosen.items()}

@@ -1,8 +1,8 @@
 """Reference implementations the differential suites check production code against.
 
 Each module keeps the straightforward engine a fast path in ``src/``
-replaced, so the bit-identity contracts stay tested without a runtime
-switch in the library:
+replaced, so the bit-identity and exact-optimum contracts stay tested
+without a runtime switch in the library:
 
 * :mod:`tests.reference.items` -- the scalar BMCGAP item loop, the
   reference for :func:`repro.kernels.items.generate_items_vectorized`;
@@ -14,5 +14,12 @@ switch in the library:
   :class:`repro.matching.warmstart.DualReusingSolver`;
 * :mod:`tests.reference.waxman` -- the whole-matrix Waxman generator with
   its pairwise component join, the reference for the row-blocked
-  :func:`repro.topology.gtitm.generate_gtitm_topology`.
+  :func:`repro.topology.gtitm.generate_gtitm_topology`;
+* :mod:`tests.reference.exact` -- the paper's literal assignment ILP
+  (``solve_ilp`` on HiGHS or the branch-and-bound, and the
+  ``AssignmentILP`` algorithm), the oracle for the aggregated model that
+  :class:`repro.algorithms.ilp_exact.ILPAlgorithm` solves;
+* :mod:`tests.reference.branch_and_bound` -- a pure-Python best-first
+  LP-based branch-and-bound over 0/1 assignment models, the second exact
+  solver behind that oracle.
 """

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -122,7 +127,7 @@ class TestFallbackChain:
 
     def test_name_lists_tiers(self):
         chain = default_fallback_chain()
-        assert chain.name == "Fallback[ILP>ILP>Heuristic>Greedy[max_residual]]"
+        assert chain.name == "Fallback[ILP>Heuristic>Greedy[max_residual]]"
 
 
 class TestSolveWithTimeout:
@@ -137,3 +142,35 @@ class TestSolveWithTimeout:
     def test_fast_solve_within_budget(self, small_problem):
         result = solve_with_timeout(GreedyGain(), small_problem, timeout=10.0)
         assert result.reliability > 0
+
+    def test_abandoned_native_solve_lets_the_interpreter_exit(self):
+        """An abandoned HiGHS solve still running at interpreter exit must not
+        abort the process.  At seed 1000 the solve takes ~30 ms, so it is
+        still inside HiGHS when the script returns; on a daemon worker the
+        process died with exit code 134 (``terminate called without an
+        active exception``)."""
+        script = textwrap.dedent(
+            """
+            from repro.algorithms.fallback import solve_with_timeout
+            from repro.algorithms.ilp_exact import ILPAlgorithm
+            from repro.experiments.settings import ExperimentSettings
+            from repro.experiments.workload import make_trial
+            from repro.util.errors import SolveTimeoutError
+
+            problem = make_trial(ExperimentSettings(sfc_length=20), rng=1000).problem
+            try:
+                solve_with_timeout(ILPAlgorithm(), problem, timeout=1e-3)
+            except SolveTimeoutError as exc:
+                print(exc)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+        assert "wall-clock budget" in done.stdout

@@ -10,6 +10,7 @@ from repro.core.validation import check_solution
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request, ServiceFunctionChain, VNFType
 from repro.topology.families import line_topology
+from tests.reference.exact import AssignmentILP
 
 
 class TestRepairPrefix:
@@ -92,10 +93,8 @@ class TestILPAlgorithm:
         assert result.usage_max <= 1.0 + 1e-9
 
     def test_bnb_backend_equivalent_reliability(self, small_problem):
-        highs = ILPAlgorithm(backend="highs", stop_at_expectation=False).solve(
-            small_problem
-        )
-        bnb = ILPAlgorithm(backend="bnb", stop_at_expectation=False).solve(
+        highs = ILPAlgorithm(stop_at_expectation=False).solve(small_problem)
+        bnb = AssignmentILP(backend="bnb", stop_at_expectation=False).solve(
             small_problem
         )
         assert bnb.reliability == pytest.approx(highs.reliability, abs=1e-5)

@@ -73,16 +73,6 @@ class TestRandomizedRounding:
         result = RandomizedRounding().solve(small_problem, rng=3)
         assert result.solution.is_prefix_per_position()
 
-    def test_prefix_repair_can_be_disabled(self, small_problem):
-        result = RandomizedRounding(repair_prefixes=False).solve(small_problem, rng=3)
-        report = check_solution(
-            small_problem,
-            result.solution,
-            allow_capacity_violation=True,
-            require_prefix=False,
-        )
-        assert report.ok
-
     def test_reliability_close_to_ilp_on_average(self, small_problem):
         """Empirical claim of Fig. 1(a): Randomized within a few % of ILP."""
         ilp = ILPAlgorithm().solve(small_problem)

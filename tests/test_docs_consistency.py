@@ -8,6 +8,8 @@ import, and the deliverable entry points are present.
 
 from __future__ import annotations
 
+import importlib
+import itertools
 import re
 from pathlib import Path
 
@@ -62,9 +64,38 @@ class TestApiReferenceImports:
             assert hasattr(repro, match), match
 
     def test_dotted_module_paths_import(self):
+        """Every ``repro.…`` name resolves down to its attribute; brace
+        groups (``write_series_{csv,json}``) expand, wildcards are skipped."""
         text = (ROOT / "docs" / "api.md").read_text()
-        for match in set(re.findall(r"`(repro(?:\.[a-z_]+)+)\.", text)):
-            __import__(match)
+        pattern = r"`(repro(?:\.(?:[A-Za-z0-9_*]|\{[^}`]*\})+)+)"
+        for written in set(re.findall(pattern, text)):
+            for name in _expand_braces(written):
+                if "*" not in name:
+                    _resolve(name)
+
+
+def _expand_braces(name: str) -> list[str]:
+    """``a.{b, c}_d`` -> ``["a.b_d", "a.c_d"]``."""
+    pieces = re.split(r"\{([^}]*)\}", name)
+    choices = [
+        [o.strip() for o in piece.split(",")] if i % 2 else [piece]
+        for i, piece in enumerate(pieces)
+    ]
+    return ["".join(combo) for combo in itertools.product(*choices)]
+
+
+def _resolve(name: str) -> None:
+    """Import the longest module prefix of ``name``, then walk attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        break
+    for attr in parts[cut:]:
+        assert hasattr(obj, attr), f"{name}: no attribute {attr!r}"
+        obj = getattr(obj, attr)
 
 
 class TestDeliverableLayout:

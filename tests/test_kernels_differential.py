@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms.heuristic import MatchingHeuristic
-from repro.core.items import gain_ladder, paper_cost_ladder
+from repro.core import items as core_items
+from repro.core.items import gain_ladder, paper_cost_ladder, reliability_ladder
 from repro.core.problem import AugmentationProblem
 from repro.experiments.instances import (
     InstanceSpec,
@@ -27,6 +28,7 @@ from repro.experiments.instances import (
     build_instance,
     differential_suite,
 )
+from repro.kernels import items as kernel_items
 from repro.kernels.items import (
     cost_ladder_array,
     cost_tuple,
@@ -104,6 +106,37 @@ def test_ladder_tuples_memoized_and_grown():
     assert len(longer) >= 30 and longer[:len(a)] == a
     g = gain_tuple(0.7, 5)
     assert gain_tuple(0.7, 2) is g
+
+
+def test_ladder_memos_bounded():
+    """Each ladder memo empties itself at the limit instead of growing, and
+    a ladder recomputed after the clear equals the one memoized before."""
+    limit = core_items._LADDER_MEMO_LIMIT
+    r0 = 0.6180339887
+
+    def ladders():
+        return (
+            paper_cost_ladder(r0, 12),
+            gain_ladder(r0, 12),
+            reliability_ladder(r0, 12),
+            cost_tuple(r0, 12)[:12],
+            gain_tuple(r0, 12)[:12],
+        )
+
+    before = ladders()
+    for i in range(limit + 1):
+        r = 0.3 + i * 1e-6
+        reliability_ladder(r, 4)
+        cost_tuple(r, 4)
+        gain_tuple(r, 4)
+    memos = [
+        *core_items._LADDER_CACHES.values(),
+        kernel_items._COST_TUPLES,
+        kernel_items._GAIN_TUPLES,
+    ]
+    assert all(len(memo) <= limit for memo in memos)
+    assert all(r0 not in memo for memo in memos)  # cleared, so recomputed
+    assert ladders() == before
 
 
 def test_ladders_of_instance_reliabilities_bit_identical():

@@ -24,11 +24,11 @@ from repro.core.problem import AugmentationProblem
 from repro.core.validation import check_solution
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request, ServiceFunctionChain, VNFType
-from repro.solvers.ilp import solve_ilp
 from repro.solvers.lp import solve_lp
 from repro.solvers.model import build_model
 from repro.topology.families import grid_topology
 from repro.util.rng import as_rng
+from tests.reference.exact import solve_ilp
 
 # Instance generator: small random problems on a 3x3 grid of cloudlets.
 instance_seeds = st.integers(0, 10_000)
@@ -70,8 +70,8 @@ class TestLemma42PrefixOptima:
     @given(seed=instance_seeds, length=chain_lengths, scale=residual_scales)
     @settings(max_examples=25, deadline=None)
     def test_exact_optimum_admits_prefix_form(self, seed, length, scale):
-        """Every exact optimum, after the count-preserving canonical re-key,
-        is a feasible prefix solution of identical objective (Lemma 4.2)."""
+        """Every exact optimum is a feasible prefix solution (Lemma 4.2):
+        the aggregated decode assigns ``k = 1..m_i`` with no re-key."""
         problem = _random_problem(seed, length, scale)
         if not problem.items:
             return

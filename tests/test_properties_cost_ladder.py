@@ -9,7 +9,7 @@ agree with the scalar definitions *exactly* (they feed the incremental
 matching engine, whose bit-for-bit equivalence proof leans on it).
 
 Lemma 4.2: every solution returned by the heuristic, the ILP, and the
-from-scratch branch-and-bound selects a *prefix* of each position's items:
+branch-and-bound oracle selects a *prefix* of each position's items:
 if the k-th backup of position ``i`` is placed, so are backups ``1..k-1``.
 Checked on seeded instances from the shared factory, so a failure replays
 with the same spec everywhere.
@@ -32,6 +32,7 @@ from repro.core.reliability import (
     paper_cost,
 )
 from repro.experiments.instances import differential_suite
+from tests.reference.exact import AssignmentILP
 
 reliabilities = st.floats(
     min_value=1e-9,
@@ -106,7 +107,7 @@ class TestLemma41CostMonotonicity:
 SPECS = list(differential_suite(24))
 SPEC_IDS = [f"{s.family}-L{s.chain_length}-l{s.radius}-seed{s.seed}" for s in SPECS]
 
-# The from-scratch branch-and-bound is exponential in the item count; hold
+# The branch-and-bound oracle is exponential in the item count; hold
 # it to the short-chain specs (still every topology family) so the property
 # run stays in CI time.  Heuristic and HiGHS cover the full stream.
 SMALL = [s for s in SPECS if s.chain_length <= 2]
@@ -146,5 +147,5 @@ class TestLemma42PrefixProperty:
     @pytest.mark.parametrize("spec", SMALL, ids=SMALL_IDS)
     def test_bnb_solutions_are_per_position_prefixes(self, spec, instance_factory):
         problem = instance_factory(spec)
-        result = ILPAlgorithm(backend="bnb").solve(problem, rng=spec.seed)
+        result = AssignmentILP(backend="bnb").solve(problem, rng=spec.seed)
         _assert_prefix(spec, result)

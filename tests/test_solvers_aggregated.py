@@ -1,4 +1,4 @@
-"""Tests for the aggregated (symmetry-free) ILP formulation."""
+"""Tests for the aggregated (symmetry-free) ILP engine against the assignment-ILP oracle."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.ilp_exact import ILPAlgorithm
+from repro.algorithms.ilp_exact import ILPAlgorithm, repair_prefix
 from repro.core.items import ItemGenerationConfig
 from repro.core.problem import AugmentationProblem
 from repro.core.validation import check_solution
@@ -16,7 +16,7 @@ from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workload import make_trial
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request, ServiceFunctionChain, VNFType
-from repro.solvers.ilp import solve_ilp, solve_ilp_aggregated
+from repro.solvers.ilp import solve_ilp_aggregated
 from repro.solvers.model import (
     assignments_from_aggregated,
     build_aggregated_model,
@@ -25,6 +25,7 @@ from repro.solvers.model import (
 from repro.topology.families import grid_topology
 from repro.util.errors import ValidationError
 from repro.util.rng import as_rng
+from tests.reference.exact import AssignmentILP, solve_ilp
 
 
 class TestBuildAggregatedModel:
@@ -93,17 +94,21 @@ class TestEquivalenceWithAssignmentModel:
         literal = solve_ilp(build_model(problem))
         aggregated = solve_ilp_aggregated(build_aggregated_model(problem))
         assert aggregated.objective == pytest.approx(literal.objective, abs=2e-6)
+        # the decode is already the canonical prefix, in the same order, so
+        # ILPAlgorithm has no re-key to do
+        repaired = repair_prefix(problem, aggregated.assignments)
+        assert list(repaired.items()) == list(aggregated.assignments.items())
 
     def test_wide_radius_instance_fast_and_valid(self):
         """The motivating case: unrestricted radius at paper scale."""
         settings = ExperimentSettings(radius=99)
         problem = make_trial(settings, rng=100).problem
-        result = ILPAlgorithm().solve(problem)  # aggregated by default
+        result = ILPAlgorithm().solve(problem)
         report = check_solution(
             problem, result.solution, claimed_reliability=result.reliability
         )
         assert report.ok, report.issues
-        assert result.meta["formulation"] == "aggregated"
+        assert result.meta["backend"] == "highs-aggregated"
 
 
 class TestDecoding:
@@ -135,22 +140,7 @@ class TestDecoding:
 
 
 class TestAlgorithmIntegration:
-    def test_default_formulation_is_aggregated(self):
-        assert ILPAlgorithm().formulation == "aggregated"
-
-    def test_bnb_forces_assignment(self):
-        assert ILPAlgorithm(backend="bnb").formulation == "assignment"
-
-    def test_budget_cap_forces_assignment(self):
-        assert ILPAlgorithm(budget_cap=1.0).formulation == "assignment"
-
-    def test_invalid_formulation(self):
-        with pytest.raises(ValidationError):
-            ILPAlgorithm(formulation="wat")
-
     def test_formulations_agree_on_reliability(self, small_problem):
         agg = ILPAlgorithm(stop_at_expectation=False).solve(small_problem)
-        lit = ILPAlgorithm(
-            formulation="assignment", stop_at_expectation=False
-        ).solve(small_problem)
+        lit = AssignmentILP(stop_at_expectation=False).solve(small_problem)
         assert agg.reliability == pytest.approx(lit.reliability, abs=1e-5)

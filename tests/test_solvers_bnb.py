@@ -1,4 +1,4 @@
-"""Tests for the from-scratch branch-and-bound MILP, cross-checked vs HiGHS."""
+"""Tests for the branch-and-bound oracle, cross-checked vs HiGHS and the aggregated engine."""
 
 from __future__ import annotations
 
@@ -11,10 +11,11 @@ from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workload import make_trial
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request, ServiceFunctionChain, VNFType
-from repro.solvers.branch_and_bound import BnBOptions, NodeLimitExceeded, solve_bnb
-from repro.solvers.ilp import solve_ilp
-from repro.solvers.model import AssignmentModel, build_model
+from repro.solvers.ilp import solve_ilp_aggregated
+from repro.solvers.model import AssignmentModel, build_aggregated_model, build_model
 from repro.topology.families import complete_topology
+from tests.reference.branch_and_bound import BnBOptions, NodeLimitExceeded, solve_bnb
+from tests.reference.exact import solve_ilp
 
 
 def _knapsack_model(values, weights, capacity) -> AssignmentModel:
@@ -75,12 +76,26 @@ class TestAugmentationModels:
         highs = solve_ilp(model, backend="highs")
         assert own.objective == pytest.approx(highs.objective, abs=2e-6)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_highs_on_random_instances(self, seed):
+    @pytest.mark.parametrize(
+        "num_aps, fraction, length, max_backups, seed",
+        [
+            (20, 0.25, 4, 4, 1),
+            (20, 0.25, 4, 4, 2),
+            (20, 0.25, 4, 4, 3),
+            # the (|V|, L, seed) grid the HiGHS-vs-B&B solver bench recorded
+            (20, 0.2, 3, 5, 1),
+            (30, 0.2, 4, 5, 2),
+            (40, 0.2, 5, 5, 3),
+        ],
+        ids=["1", "2", "3", "V20-L3-s1", "V30-L4-s2", "V40-L5-s3"],
+    )
+    def test_matches_highs_on_random_instances(
+        self, num_aps, fraction, length, max_backups, seed
+    ):
         from repro.core.items import ItemGenerationConfig
 
         settings = ExperimentSettings(
-            num_aps=20, cloudlet_fraction=0.25, sfc_length=4, trials=1
+            num_aps=num_aps, cloudlet_fraction=fraction, sfc_length=length, trials=1
         )
         # cap backups per function: uncapped tail items with ~1e-7 gains put
         # the pure-Python B&B into minutes-long 1e-6-gap proofs (the heavy
@@ -88,14 +103,16 @@ class TestAugmentationModels:
         problem = make_trial(
             settings,
             rng=seed,
-            item_config=ItemGenerationConfig(max_backups_per_function=4),
+            item_config=ItemGenerationConfig(max_backups_per_function=max_backups),
         ).problem
         if problem.num_items == 0:
             pytest.skip("degenerate draw")
         model = build_model(problem)
         own = solve_bnb(model, options=BnBOptions(max_nodes=30_000))
         highs = solve_ilp(model, backend="highs")
+        aggregated = solve_ilp_aggregated(build_aggregated_model(problem))
         assert own.objective == pytest.approx(highs.objective, abs=2e-6)
+        assert aggregated.objective == pytest.approx(highs.objective, abs=2e-6)
 
     def test_via_solve_ilp_backend(self, small_problem):
         model = build_model(small_problem)

@@ -1,4 +1,4 @@
-"""Tests for exact ILP solving: HiGHS backend, decoding, optimality structure."""
+"""Tests for the assignment-ILP oracle: HiGHS backend, decoding, optimality structure."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import pytest
 from repro.core.problem import AugmentationProblem
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workload import make_trial
-from repro.solvers.ilp import solve_ilp
 from repro.solvers.model import build_model
 from repro.util.errors import ValidationError
+from tests.reference.exact import solve_ilp
 
 
 class TestSolveILP:
@@ -62,11 +62,6 @@ class TestSolveILP:
         model = build_model(small_problem)
         with pytest.raises(ValidationError):
             solve_ilp(model, backend="cplex")
-
-    def test_budget_capped_model(self, small_problem):
-        full = solve_ilp(build_model(small_problem))
-        capped = solve_ilp(build_model(small_problem, budget_cap=full.total_gain / 2))
-        assert capped.total_gain <= full.total_gain / 2 + 1e-9
 
     def test_realistic_instance_solves(self):
         settings = ExperimentSettings(num_aps=40, cloudlet_fraction=0.2, trials=1)

@@ -48,7 +48,7 @@ class TestSolveLP:
 
     def test_upper_bounds_ilp(self, small_problem):
         """LP gain >= ILP gain (relaxation bound direction)."""
-        from repro.solvers.ilp import solve_ilp
+        from tests.reference.exact import solve_ilp
 
         model = build_model(small_problem)
         lp = solve_lp(model)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.problem import AugmentationProblem
-from repro.solvers.model import assignments_from_values, build_model
+from repro.solvers.model import build_model
 from repro.util.errors import ValidationError
+from tests.reference.exact import assignments_from_values
 
 
 class TestBuildModel:
@@ -60,19 +61,6 @@ class TestBuildModel:
         a = model.a_ub.toarray()
         item_block = a[list(model.item_rows)]
         assert (item_block.sum(axis=0) == 1.0).all()
-
-    def test_budget_row(self, small_problem):
-        model = build_model(small_problem, budget_cap=0.5)
-        assert model.budget_row is not None
-        row = model.a_ub.toarray()[model.budget_row]
-        assert row @ np.ones(model.num_vars) == pytest.approx(
-            sum(-model.objective)
-        )
-        assert model.b_ub[model.budget_row] == 0.5
-
-    def test_negative_budget_rejected(self, small_problem):
-        with pytest.raises(ValidationError):
-            build_model(small_problem, budget_cap=-1.0)
 
     def test_empty_problem_rejected(self, line_network, small_request):
         problem = AugmentationProblem.build(
