@@ -110,7 +110,6 @@ def make_engine(network, mode: str, seed: int) -> BatchAdmissionEngine:
     return BatchAdmissionEngine(
         network,
         ledger=ledger,
-        backend="warm",
         mode=mode,
         queue_limit=QUEUE_LIMIT,
         rng=np.random.default_rng(seed),

@@ -72,7 +72,6 @@ from repro.matching.incremental import RoundState, edge_cost_sum
 from repro.matching.mincost import (
     MatchEdge,
     MatchingWorkspace,
-    default_backend,
     min_cost_max_matching_arrays,
     resolve_backend,
 )
@@ -121,15 +120,12 @@ class MatchingHeuristic(AugmentationAlgorithm):
     Parameters
     ----------
     backend:
-        Matching backend: a :data:`repro.matching.mincost.BACKENDS` name
-        (``"scipy"``, ``"sparse"``, ``"warm"``), ``"dense"``
-        (alias for ``"scipy"``), or ``"auto"`` (dense below the sparse
-        cutoff, sparse above -- per round).  ``None`` (default) defers to
-        the ``REPRO_MATCHING`` environment variable at *solve* time
-        (``"auto"`` when unset), so sweeps, the resilience stream, and the
-        fallback chain all inherit one switch.  ``"warm"`` runs the
-        dual-reusing round solver of :mod:`repro.matching.warmstart`,
-        carrying dual potentials across rounds within each solve.
+        Matching backend: ``"auto"`` (default: dense below the sparse
+        cutoff, sparse above -- per round) or a
+        :data:`repro.matching.mincost.BACKENDS` name (``"scipy"``,
+        ``"sparse"``, ``"warm"``).  ``"warm"`` runs the dual-reusing round
+        solver of :mod:`repro.matching.warmstart`, carrying dual potentials
+        across rounds within each solve.
     stop_at_expectation:
         Stop matching rounds once ``rho_j`` is reached and trim any
         overshoot from the final round (default True).  When False the
@@ -153,15 +149,13 @@ class MatchingHeuristic(AugmentationAlgorithm):
 
     def __init__(
         self,
-        backend: str | None = None,
+        backend: str = "auto",
         stop_at_expectation: bool = True,
         max_rounds: int = 10_000,
         record_trace: bool = False,
         universe_cost_sum: float | None = None,
     ):
-        if backend is not None:
-            resolve_backend(backend)  # fail fast on unknown spellings
-        self.backend = backend
+        self.backend = resolve_backend(backend)
         self.stop_at_expectation = stop_at_expectation
         self.max_rounds = max_rounds
         self.record_trace = record_trace
@@ -183,14 +177,13 @@ class MatchingHeuristic(AugmentationAlgorithm):
                 meta={"no_items": True},
             )
 
-        backend = self._resolved_backend()
         with Stopwatch() as sw:
-            (outcome,) = self._solve_rounds([problem], backend)
+            (outcome,) = self._solve_rounds([problem])
 
         meta: dict[str, object] = {
             "rounds": outcome.rounds,
             "paper_cost_total": outcome.solution.total_cost,
-            "matching_backend": backend,  # "auto" concretises per round
+            "matching_backend": self.backend,  # "auto" concretises per round
         }
         if self.record_trace:
             meta["round_trace"] = outcome.trace
@@ -215,31 +208,25 @@ class MatchingHeuristic(AugmentationAlgorithm):
         pairwise-disjoint cloudlets, else
         :class:`~repro.util.errors.ValidationError`.
         """
-        backend = self._resolved_backend()
         if len(problems) > 1:
-            self._check_wave(problems, backend)
+            self._check_wave(problems)
         outcomes = [WaveOutcome(AugmentationSolution.empty(), 0, []) for _ in problems]
         todo = [
             i for i, problem in enumerate(problems)
             if problem.items and not problem.baseline_meets_expectation
         ]
         if todo:
-            solved = self._solve_rounds([problems[i] for i in todo], backend)
+            solved = self._solve_rounds([problems[i] for i in todo])
             for i, outcome in zip(todo, solved):
                 outcomes[i] = outcome
         return outcomes
 
     # -- internals ----------------------------------------------------------------
-    def _resolved_backend(self) -> str:
-        return (
-            resolve_backend(self.backend) if self.backend is not None
-            else default_backend()
-        )
-
-    def _check_wave(self, problems: Sequence[AugmentationProblem], backend: str) -> None:
-        if backend != "warm":
+    def _check_wave(self, problems: Sequence[AugmentationProblem]) -> None:
+        if self.backend != "warm":
             raise ValidationError(
-                f"a wave of several problems needs the warm backend, got {backend!r}"
+                "a wave of several problems needs the warm backend, "
+                f"got {self.backend!r}"
             )
         cap, residuals = self.universe_cost_sum, problems[0].residuals
         for problem in problems:
@@ -252,12 +239,12 @@ class MatchingHeuristic(AugmentationAlgorithm):
                 )
 
     def _solve_rounds(
-        self, problems: Sequence[AugmentationProblem], backend: str
+        self, problems: Sequence[AugmentationProblem]
     ) -> list[WaveOutcome]:
         """Run the rounds and re-key each problem's placements to prefixes."""
         outcomes = []
         for problem, (placements, rounds, trace) in zip(
-            problems, self._run_rounds(problems, backend)
+            problems, self._run_rounds(problems)
         ):
             # Re-key to canonical per-position prefixes: an early stop inside
             # a round can otherwise leave e.g. k=2 committed without k=1.
@@ -281,7 +268,7 @@ class MatchingHeuristic(AugmentationAlgorithm):
         }
 
     def _run_rounds(
-        self, problems: Sequence[AugmentationProblem], backend: str
+        self, problems: Sequence[AugmentationProblem]
     ) -> list[tuple[list[Placement], int, list[dict[str, object]]]]:
         """The round loop: delta-maintained ``G_l``, one buffer per solve.
 
@@ -297,7 +284,7 @@ class MatchingHeuristic(AugmentationAlgorithm):
         # min_cost_max_matching_arrays interface.
         warm = (
             state.warm_solver(universe_cost_sum=self.universe_cost_sum)
-            if backend == "warm"
+            if self.backend == "warm"
             else None
         )
         warm_delta = warm_delta_enabled() if warm is not None else False
@@ -350,7 +337,7 @@ class MatchingHeuristic(AugmentationAlgorithm):
             else:
                 matching = min_cost_max_matching_arrays(
                     len(rows), len(cols), edge_rows, edge_cols, edge_costs,
-                    backend=backend, workspace=workspace,
+                    backend=self.backend, workspace=workspace,
                 )
             if not matching:  # pragma: no cover - edges imply a non-empty matching
                 break

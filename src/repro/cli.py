@@ -19,7 +19,6 @@ emitted numbers are bit-identical for every ``N``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -46,7 +45,6 @@ from repro.experiments.reporting import render_figure
 from repro.experiments.resilience import FAULT_SCENARIOS, run_fault_scenario
 from repro.experiments.serialization import write_series_csv
 from repro.experiments.settings import DEFAULT_SETTINGS
-from repro.matching.mincost import BACKENDS, MATCHING_ENV
 from repro.util.tables import format_table
 
 ALGORITHMS = {
@@ -70,19 +68,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--chart", action="store_true", help="also render ASCII line charts"
     )
     parser.add_argument("--csv", metavar="PATH", help="write the series as tidy CSV")
-    parser.add_argument(
-        "--matching-backend",
-        choices=("auto", "dense") + BACKENDS,
-        default=None,
-        metavar="BACKEND",
-        help=(
-            "matching backend for every heuristic solve in the run "
-            f"(one of auto/dense/{'/'.join(BACKENDS)}; sets {MATCHING_ENV}, "
-            f"so worker processes inherit it; default: the {MATCHING_ENV} "
-            "environment, else auto).  All backends produce identical "
-            "results -- this is a performance knob"
-        ),
-    )
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -210,14 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("batched", "sequential"),
         default="batched",
-        help="batched = neighborhood-disjoint waves share one solve (warm "
-        "backend); sequential = one request per wave (identical results)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("auto", "dense") + BACKENDS,
-        default="warm",
-        help="matching backend for the admission solves",
+        help="batched = neighborhood-disjoint waves share one solve; "
+        "sequential = one request per wave (identical results)",
     )
     serve.add_argument(
         "--audit-every", type=int, default=50, help="refold audit cadence (batches)"
@@ -283,7 +262,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     engine = BatchAdmissionEngine(
         network,
         ledger=CapacityLedger({v: network.capacity(v) for v in network.cloudlets}),
-        backend=args.backend,
         mode=args.mode,
         queue_limit=args.queue_limit,
         rng=np.random.default_rng(args.seed + 1),
@@ -321,7 +299,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"streaming admission ({network.num_cloudlets} cloudlets, "
-                f"{args.mode} mode, {engine.backend} backend, seed {args.seed})"
+                f"{args.mode} mode, seed {args.seed})"
             ),
         )
     )
@@ -341,12 +319,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if getattr(args, "matching_backend", None):
-        # Through the environment rather than algorithm construction so the
-        # sweep workers, the resilience stream's internal solves, and the
-        # fallback chain's members all inherit the same switch.
-        os.environ[MATCHING_ENV] = args.matching_backend
 
     if args.command == "fig1":
         series = run_figure1(

@@ -15,22 +15,3 @@ NumPy bulk operations:
 They are wired through ``MECNetwork.neighborhoods`` and
 ``AugmentationProblem.build``.  See ``docs/performance.md``.
 """
-
-from __future__ import annotations
-
-
-def clear_kernel_caches() -> None:
-    """Drop every kernel memo (CSR views, BFS masks, item ladders).
-
-    For benchmarks that must measure *cold* construction and for tests;
-    production code never needs it -- cache memory is bounded by the
-    graphs alive in the process and by the ladder memos' reliability
-    limit.
-    """
-    from repro.kernels import csr, items
-
-    csr.clear_caches()
-    items.clear_caches()
-
-
-__all__ = ["clear_kernel_caches"]

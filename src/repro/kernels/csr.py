@@ -291,15 +291,3 @@ def neighborhood_kernel(graph: nx.Graph, radius: int) -> NeighborhoodKernel:
     if kernel is None:
         kernel = per_radius[radius] = NeighborhoodKernel(graph, radius)
     return kernel
-
-
-def clear_caches() -> None:
-    """Drop every memoized node indexing, CSR view, and neighborhood kernel.
-
-    Exists for benchmarks that need to measure cold construction cost and
-    for tests; production code never needs it (memory is bounded by the
-    graphs alive in the process).
-    """
-    _INDEXING_CACHE.clear()
-    _CSR_CACHE.clear()
-    _KERNEL_CACHE.clear()

@@ -95,21 +95,6 @@ def gain_tuple(reliability: float, k_max: int) -> tuple[float, ...]:
     return ladder
 
 
-def cost_ladder_array(reliability: float, k_max: int) -> np.ndarray:
-    """Paper costs ``c(f, k, .)`` for ``k = 1..k_max`` as an array.
-
-    ``cost_ladder_array(r, k)[k - 1] == paper_cost(r, k)`` exactly; a thin
-    array view over :func:`cost_tuple` for array-native consumers.
-    """
-    return np.asarray(cost_tuple(reliability, k_max)[:k_max], dtype=np.float64)
-
-
-def gain_ladder_array(reliability: float, k_max: int) -> np.ndarray:
-    """Solver gains ``g(f, k)`` for ``k = 1..k_max`` as an array; exact
-    values of :func:`gain_tuple`."""
-    return np.asarray(gain_tuple(reliability, k_max)[:k_max], dtype=np.float64)
-
-
 # -- the edge-universe plan ----------------------------------------------------
 
 
@@ -309,14 +294,3 @@ def generate_items_vectorized(
             segments.append((base, keep, bins, costs, demand))
 
     return items, ItemPlan(segments) if integer_ids else None
-
-
-def clear_caches() -> None:
-    """Drop every recorded edge plan (cold-construction benchmarks, tests).
-
-    The ladder tuple memos deliberately survive: they are value-level
-    tables (bit-identical to the scalar ladders by construction) with the
-    same process lifetime as ``repro.core.items``' own ladder memo, so
-    clearing them here would not make construction any colder.
-    """
-    _PLANS.clear()

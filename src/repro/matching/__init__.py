@@ -33,18 +33,18 @@ provides:
   residuals, bit-identical to rebuilding ``G_l`` from scratch every round;
   it also holds a *wave* of problems with disjoint cloudlets on one ledger.
 
-Backend selection (``"auto"``, the ``REPRO_MATCHING`` env switch, and the
-dense/sparse cutoff) lives in :mod:`repro.matching.mincost`.
+The ``"auto"`` backend and its dense/sparse cutoff live in
+:mod:`repro.matching.mincost`.  The callers pick the backend: the
+heuristic's solo solves run on ``"auto"`` and the admission service's
+waves on ``"warm"``.
 """
 
 from repro.matching.incremental import RoundState, warm_solver_for
 from repro.matching.mincost import (
     BACKENDS,
-    MATCHING_ENV,
     SPARSE_CUTOFF,
     MatchEdge,
     MatchingWorkspace,
-    default_backend,
     min_cost_max_matching,
     min_cost_max_matching_arrays,
     resolve_backend,
@@ -61,13 +61,11 @@ from repro.matching.warmstart import (
 
 __all__ = [
     "BACKENDS",
-    "MATCHING_ENV",
     "SPARSE_CUTOFF",
     "DualReusingSolver",
     "MatchEdge",
     "MatchingWorkspace",
     "RoundState",
-    "default_backend",
     "min_cost_max_matching",
     "min_cost_max_matching_arrays",
     "resolve_backend",

@@ -28,21 +28,17 @@ Backends (``BACKENDS``):
 * ``"warm"`` -- :mod:`repro.matching.warmstart`: a sparse JV solver whose
   dual potentials persist across Algorithm 2's rounds (cold-started here).
 
-``"auto"`` (and the unset default) picks dense below
-``SPARSE_CUTOFF = 256`` total nodes per round and sparse above it -- the
-measured crossover on heuristic-shaped graphs (mirroring the dual-strategy
-pattern of :mod:`repro.kernels.items`).  The ``REPRO_MATCHING`` environment
-variable (``MATCHING_ENV``) overrides the default for every solve that does
-not pass an explicit backend: ``dense`` (alias for ``scipy``), ``sparse``,
-``warm``, or ``auto``.  All backends return identical matching cardinality
-and total cost (tests assert it); pairings may permute within equal-cost
-matchings.
+``"auto"`` picks dense below ``SPARSE_CUTOFF = 256`` total nodes per round
+and sparse above it -- the measured crossover on heuristic-shaped graphs.
+The caller picks the backend: the heuristic's solo solves run on
+``"auto"`` and the admission service's waves on ``"warm"``.  All backends
+return identical matching cardinality and total cost (tests assert it);
+pairings may permute within equal-cost matchings.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -55,12 +51,6 @@ from repro.util.errors import ValidationError
 
 BACKENDS = ("scipy", "sparse", "warm")
 
-#: Environment variable overriding the default backend ("auto" when unset).
-MATCHING_ENV = "REPRO_MATCHING"
-
-#: Spellings accepted by :func:`resolve_backend` beyond ``BACKENDS`` + "auto".
-_BACKEND_ALIASES = {"dense": "scipy"}
-
 #: "auto" goes sparse when a round has at least this many total nodes
 #: (rows + cols): the measured dense/sparse crossover on heuristic-shaped
 #: graphs sits near 2.7x at 350 nodes and below 1x at 160, and the paper's
@@ -70,25 +60,18 @@ SPARSE_CUTOFF = 256
 
 
 def resolve_backend(backend: str | None) -> str:
-    """Normalise a backend spelling to ``BACKENDS`` + ``"auto"``.
+    """Check a backend name against ``BACKENDS`` + ``"auto"``.
 
-    ``None`` / ``""`` mean "no opinion" and resolve to ``"auto"``; the
-    ``"dense"`` alias resolves to ``"scipy"``.  Unknown names raise
-    :class:`ValidationError`.
+    ``None`` / ``""`` mean "no opinion" and resolve to ``"auto"``.  Unknown
+    names raise :class:`ValidationError`.
     """
     if not backend:
         return "auto"
-    backend = _BACKEND_ALIASES.get(backend, backend)
     if backend != "auto" and backend not in BACKENDS:
         raise ValidationError(
-            f"unknown backend {backend!r}; choose from {BACKENDS + ('auto', 'dense')}"
+            f"unknown backend {backend!r}; choose from {BACKENDS + ('auto',)}"
         )
     return backend
-
-
-def default_backend() -> str:
-    """The session default: ``REPRO_MATCHING`` when set, else ``"auto"``."""
-    return resolve_backend(os.environ.get(MATCHING_ENV))
 
 
 def select_backend(backend: str, n_rows: int, n_cols: int) -> str:
@@ -165,9 +148,9 @@ def min_cost_max_matching(
         ``(row, col) -> cost`` for existing edges; absent pairs are
         forbidden.  Costs may be negative.
     backend:
-        A ``BACKENDS`` name, ``"dense"`` (alias for ``"scipy"``), or
-        ``"auto"`` (dense below :data:`SPARSE_CUTOFF` total nodes, sparse
-        above).  Default ``"scipy"``.
+        A ``BACKENDS`` name or ``"auto"`` (dense below
+        :data:`SPARSE_CUTOFF` total nodes, sparse above).  Default
+        ``"scipy"``.
 
     Returns
     -------

@@ -7,19 +7,16 @@ or nothing), one residual snapshot per wave, one
 :class:`~repro.core.problem.AugmentationProblem` per member with its items
 generated on that snapshot, the cost-cap guard, and **one**
 :meth:`~repro.algorithms.heuristic.MatchingHeuristic.solve_wave` call per
-wave, finished per member by the expectation trim.  Under
-``mode="batched"`` and the ``"warm"`` backend a wave holds the requests
-whose backup neighborhoods are disjoint from those of every request
-scanned before them; ``mode="sequential"`` (the differential reference)
-and every other backend use waves of one member.
+wave, finished per member by the expectation trim.  Every wave solves on
+the ``"warm"`` backend.  Under ``mode="batched"`` a wave holds the
+requests whose backup neighborhoods are disjoint from those of every
+request scanned before them; ``mode="sequential"`` (the differential
+reference) uses waves of one member.
 
-On the ``"warm"`` backend, in both modes, the snapshot holds only the
-wave's *domain* -- its members' ``l``-hop cloudlets, in ledger order --
-so the snapshot, the scratch ledger, the matching rows and the item
-candidates all scale with the wave, not with the network.  The other
-backends keep the full-network snapshot: scipy's padded matrix breaks
-ties over every row of the round graph, edge-less ones included, and
-``"auto"`` picks its backend by the round's size.
+In both modes the snapshot holds only the wave's *domain* -- its members'
+``l``-hop cloudlets, in ledger order -- so the snapshot, the scratch
+ledger, the matching rows and the item candidates all scale with the
+wave, not with the network.
 
 Bit-identity contract
 ---------------------
@@ -36,13 +33,13 @@ sequential reference model (``tests/service_reference.py``).  The argument:
   the current wave, so overlapping requests always commit in arrival
   order.  Per-node allocation sequences are therefore identical across
   modes (a node only ever sees one wave member).
-* *Domain locality* (warm backend).  Every item of a member allows only
-  bins in ``D_j``, so a node outside the wave's domain never carries an
-  edge.  The snapshot keeps the domain in ledger order, so dropping those
-  rows maps every surviving row index monotonically.  The warm solver
-  gives each row a dummy column of its own, so an edge-less row pairs
-  only with that dummy and never enters another row's augmenting path:
-  the matching is the same.
+* *Domain locality.*  Every item of a member allows only bins in
+  ``D_j``, so a node outside the wave's domain never carries an edge.
+  The snapshot keeps the domain in ledger order, so dropping those rows
+  maps every surviving row index monotonically.  The warm solver gives
+  each row a dummy column of its own, so an edge-less row pairs only with
+  that dummy and never enters another row's augmenting path: the matching
+  is the same.
 * *RNG-stream identity.*  Primary placements are drawn as one pure
   ``integers(0, num_cloudlets, size=L)`` call per request, in arrival
   order, in both modes -- no residual-dependent redraw.
@@ -61,7 +58,6 @@ from repro.core.items import ItemGenerationConfig, generate_items_with_plan
 from repro.core.problem import AugmentationProblem
 from repro.core.solution import Placement, trim_to_expectation
 from repro.matching.incremental import edge_cost_sum
-from repro.matching.mincost import default_backend, resolve_backend
 from repro.netmodel.capacity import Allocation
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request
@@ -143,8 +139,9 @@ class BatchAdmissionEngine:
     radius:
         Locality radius ``l`` for backup placement.
     backend:
-        Matching backend; ``None`` defers to ``REPRO_MATCHING`` at
-        construction time.  Waves of several members need ``"warm"``.
+        ``"warm"``, the only backend that solves waves of several members
+        and ignores the rows outside a wave's domain; any other value
+        raises :class:`~repro.util.errors.ValidationError`.
     mode:
         ``"batched"`` (default) or ``"sequential"`` -- the differential
         reference that admits each request as a wave of its own, in
@@ -169,7 +166,7 @@ class BatchAdmissionEngine:
         *,
         ledger,
         radius: int = 1,
-        backend: str | None = None,
+        backend: str = "warm",
         mode: str = "batched",
         queue_limit: int = 64,
         rng: RandomState = None,
@@ -179,6 +176,8 @@ class BatchAdmissionEngine:
             raise ValidationError(f"mode must be 'batched' or 'sequential', got {mode}")
         if queue_limit < 1:
             raise ValidationError(f"queue_limit must be >= 1, got {queue_limit}")
+        if backend != "warm":
+            raise ValidationError(f"backend must be 'warm', got {backend!r}")
         self.network = network
         self.ledger = ledger
         self.radius = radius
@@ -186,9 +185,6 @@ class BatchAdmissionEngine:
         self.queue_limit = queue_limit
         self.rng = as_rng(rng)
         self.item_config = item_config
-        self.backend = (
-            resolve_backend(backend) if backend is not None else default_backend()
-        )
         self.neighborhoods = network.neighborhoods(radius)
         self.cloudlets = list(network.cloudlets)
         if not self.cloudlets:
@@ -199,14 +195,8 @@ class BatchAdmissionEngine:
                     f"negative cloudlet id {v} unsupported by the admission service"
                 )
         self._heuristic = MatchingHeuristic(
-            backend=self.backend, universe_cost_sum=SERVICE_COST_CAP
+            backend="warm", universe_cost_sum=SERVICE_COST_CAP
         )
-        # Only the warm solver provably ignores rows without an edge: each
-        # row has a dummy column of its own.  scipy's padded matrix breaks
-        # ties over every row, so dropping edge-less rows moves its
-        # equal-cost matchings, and "auto" picks its backend by round size;
-        # every backend but warm keeps the full snapshot.
-        self._domain_local = self.backend == "warm"
         #: Position of every ledger node, the order domain snapshots keep.
         self._ledger_rank = {v: i for i, v in enumerate(ledger.nodes)}
         self._live: dict[str, list[Allocation]] = {}
@@ -247,13 +237,12 @@ class BatchAdmissionEngine:
             members.append(member)
 
         pending = [m for m in members if m.record is None]
-        if self._domain_local:
-            closed_cloudlets = self.neighborhoods.closed_cloudlets
-            for member in pending:
-                member.domain = frozenset().union(
-                    *(closed_cloudlets(v) for v in member.draw)
-                )
-        if self.mode == "batched" and self._domain_local:
+        closed_cloudlets = self.neighborhoods.closed_cloudlets
+        for member in pending:
+            member.domain = frozenset().union(
+                *(closed_cloudlets(v) for v in member.draw)
+            )
+        if self.mode == "batched":
             waves = self._classify_waves(pending)
         else:
             waves = [[member] for member in pending]
@@ -315,15 +304,12 @@ class BatchAdmissionEngine:
         live = [m for m in wave if m.record is None]
         if not live:
             return
-        if self._domain_local:
-            # Only the domain can carry an edge; ledger order keeps every
-            # round-local row index monotone in the full-network one.
-            rank = self._ledger_rank
-            domain = frozenset().union(*(m.domain for m in live)) & rank.keys()
-            residual = self.ledger.residual
-            snapshot = {v: residual(v) for v in sorted(domain, key=rank.__getitem__)}
-        else:
-            snapshot = self.ledger.residuals()
+        # Only the domain can carry an edge; ledger order keeps every
+        # round-local row index monotone in the full-network one.
+        rank = self._ledger_rank
+        domain = frozenset().union(*(m.domain for m in live)) & rank.keys()
+        residual = self.ledger.residual
+        snapshot = {v: residual(v) for v in sorted(domain, key=rank.__getitem__)}
         solving: list[_Member] = []
         problems: list[AugmentationProblem] = []
         for member in live:

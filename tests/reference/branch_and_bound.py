@@ -24,8 +24,9 @@ classic LP-based branch-and-bound from first principles:
 The solver is exact: it terminates with the proven optimum (within
 ``options.absolute_gap``) or raises after ``options.max_nodes`` nodes.  On
 the augmentation models of this repository the LP relaxation is naturally
-near-integral (assignment rows + knapsack rows), so trees stay small; the
-solver ablation bench measures exactly how small.
+near-integral (assignment rows + knapsack rows), so trees stay small on
+the instances ``tests/test_solvers_bnb.py`` checks against HiGHS; at the
+Figure 1 sizes most solves run past 10 s (``docs/algorithms.md``).
 """
 
 from __future__ import annotations

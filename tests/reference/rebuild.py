@@ -31,16 +31,16 @@ class RebuildHeuristic(MatchingHeuristic):
     """:class:`MatchingHeuristic` rebuilding ``G_l`` every round."""
 
     def _run_rounds(
-        self, problems: Sequence[AugmentationProblem], backend: str
+        self, problems: Sequence[AugmentationProblem]
     ) -> list[tuple[list[Placement], int, list[dict[str, object]]]]:
         if len(problems) != 1:
             raise ValidationError(
                 f"the rebuild loop solves one problem at a time, got {len(problems)}"
             )
-        return [self._rebuild_rounds(problems[0], backend)]
+        return [self._rebuild_rounds(problems[0])]
 
     def _rebuild_rounds(
-        self, problem: AugmentationProblem, backend: str
+        self, problem: AugmentationProblem
     ) -> tuple[list[Placement], int, list[dict[str, object]]]:
         ledger = problem.ledger()
         remaining: list[BackupItem] = list(problem.items)
@@ -49,7 +49,7 @@ class RebuildHeuristic(MatchingHeuristic):
         remaining_idx: list[int] = list(range(len(remaining)))
         warm = (
             warm_solver_for(problem, ledger, universe_cost_sum=self.universe_cost_sum)
-            if backend == "warm"
+            if self.backend == "warm"
             else None
         )
         warm_delta = warm_delta_enabled() if warm is not None else False
@@ -93,7 +93,7 @@ class RebuildHeuristic(MatchingHeuristic):
                 ]
             else:
                 matching = min_cost_max_matching(
-                    len(cloudlets), len(remaining), edges, backend=backend
+                    len(cloudlets), len(remaining), edges, backend=self.backend
                 )
             if not matching:  # pragma: no cover - edges imply a non-empty matching
                 break

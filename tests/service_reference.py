@@ -53,7 +53,6 @@ class ReferenceAdmission:
         self,
         network,
         *,
-        backend: str = "warm",
         radius: int = 1,
         queue_limit: int = 64,
         rng=None,
@@ -67,7 +66,7 @@ class ReferenceAdmission:
         self.cloudlets = list(network.cloudlets)
         self.neighborhoods = network.neighborhoods(radius)
         self.ledger = CapacityLedger({v: network.capacity(v) for v in self.cloudlets})
-        self.heuristic = RebuildHeuristic(backend=backend, universe_cost_sum=cost_cap)
+        self.heuristic = RebuildHeuristic(backend="warm", universe_cost_sum=cost_cap)
         self.live: dict[str, list] = {}
 
     def admit_batch(self, requests) -> list[AdmissionRecord]:

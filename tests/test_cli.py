@@ -53,38 +53,6 @@ class TestMain:
         assert rc == 0
         assert "fig3(c)" in capsys.readouterr().out
 
-    def test_matching_backend_flag(self, capsys, monkeypatch):
-        """--matching-backend routes through REPRO_MATCHING so workers
-        inherit it.  (Exactness across backends is the differential
-        suite's job -- the printed table includes wall-clock runtime, so
-        byte-identity of stdout is not a meaningful assertion here.)"""
-        import os
-
-        from repro.matching.mincost import MATCHING_ENV
-
-        monkeypatch.setattr(
-            "repro.cli.DEFAULT_SETTINGS",
-            __import__("repro").ExperimentSettings(
-                num_aps=20, cloudlet_fraction=0.25, trials=1
-            ),
-        )
-        monkeypatch.delenv(MATCHING_ENV, raising=False)
-        for backend in ("dense", "sparse", "warm"):
-            rc = main(
-                ["fig3", "--trials", "1", "--fractions", "0.5", "--seed", "2",
-                 "--matching-backend", backend]
-            )
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert os.environ[MATCHING_ENV] == backend
-            assert "fig3(c)" in out
-
-    def test_matching_backend_rejects_unknown(self):
-        for backend in ("bogus", "own"):
-            with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(["fig3", "--matching-backend", backend])
-            assert exc.value.code == 2
-
     def test_batch_smoke(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "repro.cli.DEFAULT_SETTINGS",

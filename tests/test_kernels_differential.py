@@ -3,8 +3,8 @@ they replaced.
 
 Three layers, each compared with *exact* float equality (no tolerances):
 
-* ladders -- :func:`cost_ladder_array` / :func:`gain_ladder_array` against
-  the scalar :func:`paper_cost_ladder` / :func:`gain_ladder`;
+* ladders -- :func:`cost_tuple` / :func:`gain_tuple` against the scalar
+  :func:`paper_cost_ladder` / :func:`gain_ladder`;
 * generation -- kernel-built problems vs the scalar reference loop of
   ``tests/reference/items.py`` over the canonical differential stream plus
   figure-scale specs (items, bins, gains, costs);
@@ -30,9 +30,7 @@ from repro.experiments.instances import (
 )
 from repro.kernels import items as kernel_items
 from repro.kernels.items import (
-    cost_ladder_array,
     cost_tuple,
-    gain_ladder_array,
     gain_tuple,
     generate_items_vectorized,
     plan_of,
@@ -84,19 +82,17 @@ def _reference_problem(spec):
     "r", [1e-9, 0.01, 0.1, 0.25, 0.5, 0.5 + 1e-16, 0.85, 0.9, 0.98, 0.999, 1.0]
 )
 def test_cost_ladder_array_bit_identical(r):
-    array = cost_ladder_array(r, 40)
+    ladder = cost_tuple(r, 40)[:40]
     scalar = paper_cost_ladder(r, 40)
-    assert array.shape == (40,)
+    assert len(ladder) == 40
     for k in range(40):
         # exact equality, not approx: same IEEE-754 operations by design
-        assert array[k] == scalar[k] or (np.isinf(array[k]) and np.isinf(scalar[k]))
+        assert ladder[k] == scalar[k] or (np.isinf(ladder[k]) and np.isinf(scalar[k]))
 
 
 @pytest.mark.parametrize("r", [0.01, 0.1, 0.5, 0.85, 0.98, 1.0])
 def test_gain_ladder_array_bit_identical(r):
-    array = gain_ladder_array(r, 40)
-    scalar = gain_ladder(r, 40)
-    assert array.tolist() == list(scalar)
+    assert gain_tuple(r, 40)[:40] == gain_ladder(r, 40)
 
 
 def test_ladder_tuples_memoized_and_grown():
@@ -144,8 +140,8 @@ def test_ladders_of_instance_reliabilities_bit_identical():
     for spec in SPECS[:10]:
         problem = build_instance(spec)
         for r in problem.reliabilities:
-            assert cost_ladder_array(r, 25).tolist() == list(paper_cost_ladder(r, 25))
-            assert gain_ladder_array(r, 25).tolist() == list(gain_ladder(r, 25))
+            assert cost_tuple(r, 25)[:25] == paper_cost_ladder(r, 25)
+            assert gain_tuple(r, 25)[:25] == gain_ladder(r, 25)
 
 
 # -- generation ----------------------------------------------------------------

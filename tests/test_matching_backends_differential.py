@@ -1,8 +1,9 @@
 """Differential suite for the matching backends: every solve bit-identical.
 
-The matching core exposes three backends (plus ``"auto"`` and the
-``REPRO_MATCHING`` environment default); this suite holds them to the
-exactness contract on the canonical instance stream of
+The matching core exposes three backends plus ``"auto"``, the heuristic's
+default.  No switch selects a backend for a run, so this suite passes
+every backend explicitly and holds each to the exactness contract on the
+canonical instance stream of
 :func:`repro.experiments.instances.differential_suite`:
 
 * per backend, the incremental engine and the rebuild reference loop of
@@ -11,8 +12,6 @@ exactness contract on the canonical instance stream of
   this non-trivial);
 * back-to-back engine solves of one problem share no state: each equals
   the reference;
-* ``backend=`` argument and ``REPRO_MATCHING`` environment produce the
-  bit-identical result;
 * ``"auto"`` is bit-identical to the dense reference at canonical scale
   (every round sits below ``SPARSE_CUTOFF``), so the default solve is
   exactly the seed behaviour;
@@ -30,7 +29,7 @@ from repro.algorithms.heuristic import MatchingHeuristic
 from repro.experiments.instances import differential_suite
 from repro.experiments.runner import run_point
 from repro.experiments.settings import ExperimentSettings
-from repro.matching.mincost import BACKENDS, MATCHING_ENV
+from repro.matching.mincost import BACKENDS
 from tests.reference.rebuild import RebuildHeuristic
 
 SPECS = list(differential_suite(25))
@@ -84,9 +83,11 @@ class TestCrossBackendAgreement:
         """Every canonical round sits below the cutoff, so the default
         ("auto") solve is bit-identical to the historical dense path."""
         problem = instance_factory(spec)
-        via_auto = _solve(problem, "auto")
+        default = MatchingHeuristic(record_trace=True)
+        assert default.backend == "auto"
+        via_default = default.solve(problem)
         via_scipy = _solve(problem, "scipy")
-        assert _signature(via_auto, problem) == _signature(via_scipy, problem), spec
+        assert _signature(via_default, problem) == _signature(via_scipy, problem), spec
 
     @pytest.mark.parametrize("spec", SPECS[::4], ids=SPEC_IDS[::4])
     def test_reliability_and_cardinality_agree_everywhere(
@@ -106,25 +107,6 @@ class TestCrossBackendAgreement:
                 )
             )
         assert len(summaries) == 1, (spec, summaries)
-
-
-class TestEnvironmentDefault:
-    @pytest.mark.parametrize("env_value", ["dense", "sparse", "warm", "auto"])
-    def test_env_equals_argument(self, env_value, instance_factory, monkeypatch):
-        spec = SPECS[2]
-        problem = instance_factory(spec)
-        explicit = _solve(problem, env_value)
-        monkeypatch.setenv(MATCHING_ENV, env_value)
-        via_env = _solve(problem, None)
-        assert _signature(via_env, problem) == _signature(explicit, problem)
-        resolved = "scipy" if env_value == "dense" else env_value
-        assert via_env.meta["matching_backend"] == resolved
-
-    def test_unset_env_is_auto(self, instance_factory, monkeypatch):
-        monkeypatch.delenv(MATCHING_ENV, raising=False)
-        problem = instance_factory(SPECS[1])
-        result = _solve(problem, None)
-        assert result.meta["matching_backend"] == "auto"
 
 
 class TestArenaInvariance:
@@ -169,15 +151,3 @@ class TestAggregateStatsExact:
                 reference = fields
             else:
                 assert fields == reference, backend
-
-    def test_env_default_matches_argument_aggregate(self, monkeypatch):
-        explicit = run_point(
-            self.SETTINGS, [MatchingHeuristic(backend="sparse")], trials=4, rng=31
-        )["Heuristic"]
-        monkeypatch.setenv(MATCHING_ENV, "sparse")
-        via_env = run_point(
-            self.SETTINGS, [MatchingHeuristic()], trials=4, rng=31
-        )["Heuristic"]
-        a, b = dataclasses.asdict(via_env), dataclasses.asdict(explicit)
-        a.pop("runtime_sum"), b.pop("runtime_sum")  # wall-clock
-        assert a == b

@@ -5,14 +5,14 @@ Covers the matching-core additions of :mod:`repro.matching.sparse` and
 interface:
 
 * property tests asserting **identical cardinality and total cost** across
-  all four backends on seeded random bipartite graphs, including the
+  all three backends on seeded random bipartite graphs, including the
   degenerate shapes (no edges, a single edge, isolated right nodes,
   duplicate/tie-heavy costs, zero-cost edges);
 * big-M hardening regressions for ``_padded_matrix`` and both entry
   points: float overflow and precision saturation must raise, never
   silently mis-rank cardinality;
-* backend resolution/selection plumbing (``REPRO_MATCHING``, the
-  ``dense`` alias, the ``auto`` cutoff);
+* backend resolution/selection plumbing (unknown names, the ``auto``
+  cutoff);
 * the warm solver's dual-sign regression: zero-started column potentials
   are required for the *unbalanced* assignment LP (free columns need
   ``v <= 0``) -- a cost-biased init keeps cardinality but loses cost
@@ -28,10 +28,8 @@ from hypothesis import strategies as st
 
 from repro.matching.mincost import (
     BACKENDS,
-    MATCHING_ENV,
     SPARSE_CUTOFF,
     _padded_matrix,
-    default_backend,
     matching_cardinality_and_cost,
     min_cost_max_matching,
     min_cost_max_matching_arrays,
@@ -219,13 +217,12 @@ class TestBackendSelection:
     def test_resolve_aliases_and_empty(self):
         assert resolve_backend(None) == "auto"
         assert resolve_backend("") == "auto"
-        assert resolve_backend("dense") == "scipy"
         assert resolve_backend("auto") == "auto"
         for backend in BACKENDS:
             assert resolve_backend(backend) == backend
 
     def test_resolve_unknown_raises(self):
-        for backend in ("bogus", "own"):
+        for backend in ("bogus", "own", "dense"):
             with pytest.raises(ValidationError):
                 resolve_backend(backend)
 
@@ -234,18 +231,6 @@ class TestBackendSelection:
         assert select_backend("auto", 10, SPARSE_CUTOFF - 10) == "sparse"
         assert select_backend("warm", 10, 10_000) == "warm"
         assert select_backend("scipy", 10, 10_000) == "scipy"
-
-    def test_default_backend_env(self, monkeypatch):
-        monkeypatch.delenv(MATCHING_ENV, raising=False)
-        assert default_backend() == "auto"
-        monkeypatch.setenv(MATCHING_ENV, "dense")
-        assert default_backend() == "scipy"
-        monkeypatch.setenv(MATCHING_ENV, "warm")
-        assert default_backend() == "warm"
-        for value in ("bogus", "own"):
-            monkeypatch.setenv(MATCHING_ENV, value)
-            with pytest.raises(ValidationError):
-                default_backend()
 
     def test_auto_matches_dense_below_cutoff(self):
         rng = np.random.default_rng(5)

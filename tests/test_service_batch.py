@@ -1,14 +1,14 @@
 """Batched admission bit-identity: the differential suite.
 
 The streaming service's core contract is that ``mode="batched"`` (wave
-coalescing + one amortized union solve per wave on the warm backend) is
-**bit-identical** to ``mode="sequential"`` (one request per wave) on the
-same arrival order: identical admission records and byte-identical
-per-node ledger state.  Both modes share one round loop, so both are also
-compared against :class:`tests.service_reference.ReferenceAdmission`, a
+coalescing + one amortized union solve per wave) is **bit-identical** to
+``mode="sequential"`` (one request per wave) on the same arrival order:
+identical admission records and byte-identical per-node ledger state.
+Both modes share one round loop, so both are also compared against
+:class:`tests.service_reference.ReferenceAdmission`, a
 one-request-at-a-time model solved by the heuristic's rebuild engine.
-These tests check it on >= 25 seeded traces, across all four matching
-backends, and on hypothesis-generated random bursts.
+The service solves on the warm backend only; these tests check it on
+>= 28 seeded traces and on hypothesis-generated random bursts.
 """
 
 from __future__ import annotations
@@ -46,26 +46,27 @@ def service_ledger(network):
     return CapacityLedger({v: network.capacity(v) for v in network.cloudlets})
 
 
-def run_mode(mode, backend, trace_seed, service_seed, requests=40, window=1.0):
-    if mode == "reference":
-        engine = ReferenceAdmission(
-            _NETWORK, backend=backend, rng=np.random.default_rng(service_seed)
-        )
-    else:
-        engine = BatchAdmissionEngine(
-            _NETWORK,
-            ledger=service_ledger(_NETWORK),
-            backend=backend,
-            mode=mode,
-            rng=np.random.default_rng(service_seed),
-        )
-    trace = synthetic_trace(
+def flash_trace(trace_seed, requests):
+    return synthetic_trace(
         flash_crowd_phases(requests, base_rate=20.0),
         _CATALOG,
         SETTINGS,
         rng=np.random.default_rng(trace_seed),
         holding_time=2.0,
     )
+
+
+def run_mode(mode, trace_seed, service_seed, requests=40, window=1.0):
+    if mode == "reference":
+        engine = ReferenceAdmission(_NETWORK, rng=np.random.default_rng(service_seed))
+    else:
+        engine = BatchAdmissionEngine(
+            _NETWORK,
+            ledger=service_ledger(_NETWORK),
+            mode=mode,
+            rng=np.random.default_rng(service_seed),
+        )
+    trace = flash_trace(trace_seed, requests)
     stats = replay_trace(engine, trace, window=window, keep_records=True)
     return engine, stats
 
@@ -89,38 +90,29 @@ class TestWarmDifferential:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_batched_equals_sequential(self, seed):
-        batched = run_mode("batched", "warm", 1000 + seed, 2000 + seed)
-        sequential = run_mode("sequential", "warm", 1000 + seed, 2000 + seed)
-        reference = run_mode("reference", "warm", 1000 + seed, 2000 + seed)
+        batched = run_mode("batched", 1000 + seed, 2000 + seed)
+        sequential = run_mode("sequential", 1000 + seed, 2000 + seed)
+        reference = run_mode("reference", 1000 + seed, 2000 + seed)
+        assert_identical(batched, sequential)
+        assert_identical(batched, reference)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_short_trace_batched_equals_sequential(self, seed):
+        batched = run_mode("batched", 500 + seed, 600 + seed, requests=25)
+        sequential = run_mode("sequential", 500 + seed, 600 + seed, requests=25)
+        reference = run_mode("reference", 500 + seed, 600 + seed, requests=25)
         assert_identical(batched, sequential)
         assert_identical(batched, reference)
 
     def test_union_path_actually_engages(self):
-        """Guard against vacuous identity: the batched warm engine must
-        coalesce members into waves of several, solved together."""
-        engine, _ = run_mode("batched", "warm", 1000, 2000, requests=60, window=5.0)
+        """Guard against vacuous identity: an engine built with the defaults
+        (no backend, no mode) coalesces members into waves of several,
+        solved together."""
+        engine = BatchAdmissionEngine(
+            _NETWORK, ledger=service_ledger(_NETWORK), rng=np.random.default_rng(2000)
+        )
+        replay_trace(engine, flash_trace(1000, requests=60), window=5.0)
         assert engine.stats["amortized_waves"] > 0
-
-
-class TestAllBackends:
-    @pytest.mark.parametrize("backend", ["scipy", "sparse", "warm", "auto"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batched_equals_sequential(self, backend, seed):
-        batched = run_mode("batched", backend, 500 + seed, 600 + seed, requests=25)
-        sequential = run_mode("sequential", backend, 500 + seed, 600 + seed, requests=25)
-        reference = run_mode("reference", backend, 500 + seed, 600 + seed, requests=25)
-        assert_identical(batched, sequential)
-        assert_identical(batched, reference)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_backends_agree_on_admission_decisions(self, seed):
-        """Different backends may pick different (equal-cost) matchings, but
-        per-request admission verdicts must agree."""
-        verdicts = {}
-        for backend in ("scipy", "sparse", "warm", "auto"):
-            _, stats = run_mode("batched", backend, 700 + seed, 800 + seed, requests=25)
-            verdicts[backend] = [(r.name, r.admitted) for r in stats.records]
-        assert len({tuple(v) for v in verdicts.values()}) == 1
 
 
 def _requests_for(count, seed):
@@ -143,14 +135,13 @@ class TestHypothesisBursts:
             mode: BatchAdmissionEngine(
                 _NETWORK,
                 ledger=service_ledger(_NETWORK),
-                backend="warm",
                 mode=mode,
                 rng=np.random.default_rng(seed),
             )
             for mode in ("batched", "sequential")
         }
         engines["reference"] = ReferenceAdmission(
-            _NETWORK, backend="warm", rng=np.random.default_rng(seed)
+            _NETWORK, rng=np.random.default_rng(seed)
         )
         records = {mode: [] for mode in engines}
         cursor = 0
@@ -175,7 +166,6 @@ class TestEngineContract:
             engine = BatchAdmissionEngine(
                 _NETWORK,
                 ledger=service_ledger(_NETWORK),
-                backend="warm",
                 mode=mode,
                 queue_limit=4,
                 rng=np.random.default_rng(3),
@@ -189,10 +179,7 @@ class TestEngineContract:
 
     def test_departure_releases_all_capacity(self):
         engine = BatchAdmissionEngine(
-            _NETWORK,
-            ledger=service_ledger(_NETWORK),
-            backend="warm",
-            rng=np.random.default_rng(4),
+            _NETWORK, ledger=service_ledger(_NETWORK), rng=np.random.default_rng(4)
         )
         records = engine.admit_batch(_requests_for(8, 4))
         admitted = [r for r in records if r.admitted]
@@ -211,7 +198,6 @@ class TestEngineContract:
         engine = BatchAdmissionEngine(
             _NETWORK,
             ledger=service_ledger(_NETWORK),
-            backend="warm",
             mode=mode,
             rng=np.random.default_rng(6),
         )
@@ -244,11 +230,16 @@ class TestEngineContract:
             BatchAdmissionEngine(
                 _NETWORK, ledger=service_ledger(_NETWORK), queue_limit=0
             )
+        for backend in ("scipy", "sparse", "auto"):
+            with pytest.raises(ValidationError):
+                BatchAdmissionEngine(
+                    _NETWORK, ledger=service_ledger(_NETWORK), backend=backend
+                )
 
     def test_admitted_records_are_consistent(self):
         """Admission is best-effort (the heuristic commits what it found);
         ``expectation_met`` must agree with the recorded reliability."""
-        engine, stats = run_mode("batched", "warm", 42, 43, requests=30)
+        engine, stats = run_mode("batched", 42, 43, requests=30)
         met = 0
         for record in stats.records:
             if record.admitted:

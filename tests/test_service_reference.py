@@ -61,7 +61,7 @@ def make_engine(kind, seed, cost_cap=SERVICE_COST_CAP):
     if kind == "reference":
         return ReferenceAdmission(_NETWORK, rng=rng, cost_cap=cost_cap)
     ledger = CapacityLedger({v: _NETWORK.capacity(v) for v in _NETWORK.cloudlets})
-    return BatchAdmissionEngine(_NETWORK, ledger=ledger, backend="warm", mode=kind, rng=rng)
+    return BatchAdmissionEngine(_NETWORK, ledger=ledger, mode=kind, rng=rng)
 
 
 def replay(engine, seed):

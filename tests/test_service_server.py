@@ -29,7 +29,6 @@ def make_engine(seed=0, **kwargs):
     return BatchAdmissionEngine(
         _NETWORK,
         ledger=ledger,
-        backend="warm",
         rng=np.random.default_rng(seed),
         **kwargs,
     )
