@@ -11,15 +11,19 @@ bipartite graph ``G_l = (V', I, E_l; c)``:
 
 A minimum-cost *maximum* matching (Hungarian; see :mod:`repro.matching`)
 places at most one item per cloudlet per round; matched placements are
-committed against a strict :class:`CapacityLedger` (no violation is ever
-possible -- Theorem 6.2), matched items leave ``I``, and the next round's
-graph is built on the updated residuals.
+committed against strict residuals (no violation is ever possible --
+Theorem 6.2), matched items leave ``I``, and the next round's graph is
+built on the updated residuals.
 
 :class:`repro.matching.incremental.RoundState` maintains the per-round
 graph across rounds by applying deltas -- matched items leave, and only
 cloudlets whose residual crossed a ``c(f_i)`` threshold lose edges -- and
-one padded matrix buffer serves every round of a solve.  The original
-loop that rebuilds ``G_l`` from the ledger every round is kept in
+one padded matrix buffer serves every round of a solve.  It also commits
+the placements: :meth:`~repro.matching.incremental.RoundState.allocate`
+keeps per-node used sums with the test and the floats of a
+:class:`~repro.netmodel.capacity.CapacityLedger` over the problem's
+residuals.  The original loop that rebuilds ``G_l`` from such a ledger
+every round is kept in
 ``tests/reference/rebuild.py``; the differential suites
 (``tests/test_matching_incremental.py`` and others) prove the two
 identical placement by placement, round by round.
@@ -58,6 +62,7 @@ is not component-local, so only ``"warm"`` solves waves of several.
 from __future__ import annotations
 
 import math
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 from repro.algorithms.base import (
@@ -70,7 +75,6 @@ from repro.core.problem import AugmentationProblem
 from repro.core.solution import AugmentationResult, AugmentationSolution, Placement
 from repro.matching.incremental import RoundState, edge_cost_sum
 from repro.matching.mincost import (
-    MatchEdge,
     MatchingWorkspace,
     min_cost_max_matching_arrays,
     resolve_backend,
@@ -81,9 +85,13 @@ from repro.util.rng import RandomState
 from repro.util.timing import Stopwatch
 
 
+_COST = itemgetter(2)
+_POSITION_K = attrgetter("position", "k")
+
+
 class WaveOutcome(NamedTuple):
     """One problem's share of :meth:`MatchingHeuristic.solve_wave`: its
-    placements re-keyed to per-position prefixes (before the expectation
+    placements as per-position prefixes (before the expectation
     trim), the rounds in which it placed an item, and its per-round trace
     (``record_trace=True`` only)."""
 
@@ -241,17 +249,23 @@ class MatchingHeuristic(AugmentationAlgorithm):
     def _solve_rounds(
         self, problems: Sequence[AugmentationProblem]
     ) -> list[WaveOutcome]:
-        """Run the rounds and re-key each problem's placements to prefixes."""
+        """Run the rounds and key each problem's placements as prefixes."""
         outcomes = []
         for problem, (placements, rounds, trace) in zip(
             problems, self._run_rounds(problems)
         ):
-            # Re-key to canonical per-position prefixes: an early stop inside
-            # a round can otherwise leave e.g. k=2 committed without k=1.
-            assignments = repair_prefix(
-                problem, {(p.position, p.k): p.bin for p in placements}
+            solution = AugmentationSolution(
+                tuple(sorted(placements, key=_POSITION_K))
             )
-            solution = AugmentationSolution.from_assignments(problem, assignments)
+            if not solution.is_prefix_per_position():
+                # Re-key to canonical per-position prefixes.  Lemma 4.1's
+                # strictly increasing costs make every round match and commit
+                # the lowest remaining k of a position first, so only costs
+                # tied across k can leave e.g. k=2 committed without k=1.
+                assignments = repair_prefix(
+                    problem, {(p.position, p.k): p.bin for p in placements}
+                )
+                solution = AugmentationSolution.from_assignments(problem, assignments)
             outcomes.append(WaveOutcome(solution, rounds, trace))
         return outcomes
 
@@ -276,8 +290,7 @@ class MatchingHeuristic(AugmentationAlgorithm):
         commits every problem's matches cheapest-first, stopping mid-round
         once that problem meets its expectation (a solo solve is a wave of
         one)."""
-        ledger = problems[0].ledger()
-        state = RoundState(problems, ledger)
+        state = RoundState(problems)
         workspace = MatchingWorkspace()
         # The warm solver must outlive the round loop (its duals carry
         # between rounds), so it cannot live behind the stateless
@@ -297,6 +310,7 @@ class MatchingHeuristic(AugmentationAlgorithm):
         stop_at_expectation = self.stop_at_expectation
         max_rounds = self.max_rounds
         prod = math.prod
+        allocate = state.allocate
 
         while True:
             # A problem leaves the rounds at its round bound or once it
@@ -320,25 +334,28 @@ class MatchingHeuristic(AugmentationAlgorithm):
                     state.retire(m)
                 continue
 
+            # Matched ``(row, col, cost)`` triples in round-local indices.
             if warm is not None:
                 if warm_delta:
                     # Delta re-solve: keep still-valid pairs from the last
                     # round, re-augment only orphaned rows; edge_idx routes
                     # CSR construction through the universe presort.
-                    triples = warm.solve_round_delta(
+                    matching = warm.solve_round_delta(
                         rows, cols, edge_rows, edge_cols, edge_costs,
                         edge_idx=state.last_edge_idx,
                     )
                 else:
-                    triples = warm.solve_round(
+                    matching = warm.solve_round(
                         rows, cols, edge_rows, edge_cols, edge_costs
                     )
-                matching = [MatchEdge(r, c, cost) for r, c, cost in triples]
             else:
-                matching = min_cost_max_matching_arrays(
-                    len(rows), len(cols), edge_rows, edge_cols, edge_costs,
-                    backend=self.backend, workspace=workspace,
-                )
+                matching = [
+                    (edge.row, edge.col, edge.cost)
+                    for edge in min_cost_max_matching_arrays(
+                        len(rows), len(cols), edge_rows, edge_cols, edge_costs,
+                        backend=self.backend, workspace=workspace,
+                    )
+                ]
             if not matching:  # pragma: no cover - edges imply a non-empty matching
                 break
 
@@ -346,14 +363,13 @@ class MatchingHeuristic(AugmentationAlgorithm):
             # highest-gain (lowest-k) items, preserving the prefix structure.
             # The stable sort keeps emission order (by local row) among equal
             # costs, which restricted to one problem is its solo order.
-            matching.sort(key=lambda e: e.cost)
+            matching.sort(key=_COST)
             if owners is None:
                 buckets = [matching]
             else:
                 buckets = [[] for _ in members]
                 for edge in matching:
-                    buckets[owners[cols[edge.col]]].append(edge)
-            touched: list[int] = []
+                    buckets[owners[cols[edge[1]]]].append(edge)
             matched_indices: list[int] = []
             for progress, bucket in zip(members, buckets):
                 if not bucket:
@@ -363,11 +379,11 @@ class MatchingHeuristic(AugmentationAlgorithm):
                 counts = progress.counts
                 factors = progress.factors
                 round_placements: list[Placement] = []
-                for edge in bucket:
-                    item_index = cols[edge.col]
+                for row, col, _cost in bucket:
+                    item_index = cols[col]
                     item = items[item_index]
-                    u = rows[edge.row]
-                    ledger.allocate(u, item.demand, tag=f"{item.function_name}#{item.k}")
+                    u = rows[row]
+                    allocate(u, item.demand)
                     placement = Placement.of(item, u)
                     progress.placements.append(placement)
                     round_placements.append(placement)
@@ -375,13 +391,12 @@ class MatchingHeuristic(AugmentationAlgorithm):
                     counts[position] += 1
                     factors[position] = ladders[position][counts[position]]
                     matched_indices.append(item_index)
-                    touched.append(u)
                     if stop_at_expectation and progress.meets(prod(factors)):
                         break
                 if self.record_trace:
                     progress.trace.append(
                         self._trace_entry(progress.problem, round_placements, counts)
                     )
-            state.apply_round(touched, matched_indices)
+            state.apply_round(matched_indices)
 
         return [(m.placements, m.rounds, m.trace) for m in members]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from repro.core.items import (
@@ -181,9 +182,9 @@ class AugmentationProblem:
         """``C = -log(rho_j)``."""
         return self.request.budget
 
-    @property
+    @cached_property
     def reliabilities(self) -> tuple[float, ...]:
-        """Per-position instance reliabilities ``r_i``."""
+        """Per-position instance reliabilities ``r_i`` (computed once)."""
         return tuple(f.reliability for f in self.request.chain)
 
     @property

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.core.items import BackupItem
+from repro.core.items import BackupItem, reliability_ladder
 from repro.core.problem import AugmentationProblem
 from repro.util.errors import ValidationError
 
@@ -251,30 +251,43 @@ def trim_to_expectation(
     position first, which is the lowest marginal gain by Lemma 4.1's
     monotonicity) for as long as reliability stays at or above ``rho_j``.
     If the solution never reaches the expectation it is returned unchanged.
+
+    Each candidate reliability is the left-to-right product (``math.prod``)
+    of the per-position factors ``R_i(m_i)`` read off
+    :func:`~repro.core.items.reliability_ladder`: the same floats multiplied
+    in the same order as :meth:`AugmentationProblem.reliability_from_counts`,
+    so every decision is the one the scalar recomputation makes.
     """
     chain_length = problem.request.chain.length
     counts = solution.backup_counts(chain_length)
-    if not problem.request.meets_expectation(problem.reliability_from_counts(counts)):
+    ladders = [
+        reliability_ladder(r, k) for r, k in zip(problem.reliabilities, counts)
+    ]
+    factors = [ladder[-1] for ladder in ladders]
+    meets = problem.request.meets_expectation
+    prod = math.prod
+    if not meets(prod(factors)):
         return solution
 
     # Iteratively remove the single placement with the smallest reliability
     # loss that keeps us at/above the expectation.
-    reliabilities = problem.reliabilities
     while True:
         best_pos = -1
         best_rel = -math.inf
         for i in range(chain_length):
-            if counts[i] == 0:
+            k = counts[i]
+            if k == 0:
                 continue
-            counts[i] -= 1
-            rel = problem.reliability_from_counts(counts)
-            counts[i] += 1
-            if problem.request.meets_expectation(rel) and rel > best_rel:
+            factors[i] = ladders[i][k - 1]
+            rel = prod(factors)
+            factors[i] = ladders[i][k]
+            if meets(rel) and rel > best_rel:
                 best_rel = rel
                 best_pos = i
         if best_pos < 0:
             break
         counts[best_pos] -= 1
+        factors[best_pos] = ladders[best_pos][counts[best_pos]]
 
     # Keep the lowest-k placements of each position (they carry the largest
     # gains per Lemma 4.1), so prefix solutions stay prefixes after the trim.

@@ -30,8 +30,9 @@ provides:
   (:func:`~repro.matching.warmstart.warm_delta_enabled`);
 * :class:`~repro.matching.incremental.RoundState` -- the incremental round
   engine for Algorithm 2's hot path: static edge universe, delta-maintained
-  residuals, bit-identical to rebuilding ``G_l`` from scratch every round;
-  it also holds a *wave* of problems with disjoint cloudlets on one ledger.
+  residuals committed through its own ``allocate``, bit-identical to
+  rebuilding ``G_l`` from a ledger every round; it also holds a *wave* of
+  problems with disjoint cloudlets on one residual snapshot.
 
 The ``"auto"`` backend and its dense/sparse cutoff live in
 :mod:`repro.matching.mincost`.  The callers pick the backend: the

@@ -19,10 +19,13 @@ instead:
   hides its column.  Nothing else about other items' edges changes.
 * **Cloudlets** -- within one solve, residuals only ever *decrease*
   (Algorithm 2 never releases capacity), so edges only disappear, never
-  appear.  Only cloudlets that received an allocation in the previous round
-  can have crossed a ``c(f_i)`` threshold, so only their entries of the
-  residual snapshot are refreshed (``O(touched)`` ledger reads per round);
-  the per-round edge mask ``C'_u > 0 and C'_u + eps >= c(f_i)`` is then
+  appear.  The engine commits the round's placements itself
+  (:meth:`RoundState.allocate`): it keeps per-node used sums and refreshes
+  only the allocated node's residual entry, with the same left-to-right
+  fold and the same ``initial - used`` subtraction as
+  :class:`~repro.netmodel.capacity.CapacityLedger`, so the residual floats
+  are the ones a ledger over the snapshot would report, byte for byte.  The
+  per-round edge mask ``C'_u > 0 and C'_u + eps >= c(f_i)`` is then
   evaluated vectorised over the static arrays.
 * **Costs** -- the Eq. 3 cost ``-log(r_i (1-r_i)^k)`` depends only on
   ``(i, k)``; it is read once from the generated items (themselves fed by
@@ -67,7 +70,7 @@ from repro.core.problem import AugmentationProblem
 from repro.kernels.items import plan_of
 from repro.matching.warmstart import DualReusingSolver, UniverseIndex
 from repro.netmodel.capacity import EPS, CapacityLedger
-from repro.util.errors import ValidationError
+from repro.util.errors import CapacityError, ValidationError
 
 
 class _ProblemStatics:
@@ -185,8 +188,16 @@ def warm_solver_for(
     that a wave solve (:meth:`RoundState.warm_solver`) and a solo solve of
     any one of its problems share the exact same ``B``.
     """
+    return _warm_solver(problem, ledger.nodes, universe_cost_sum)
+
+
+def _warm_solver(
+    problem: AugmentationProblem,
+    nodes: Sequence[int],
+    universe_cost_sum: float | None,
+) -> DualReusingSolver:
+    """:func:`warm_solver_for` over a node order instead of a ledger."""
     statics = _statics(problem)
-    nodes = ledger.nodes
     for v in nodes:
         if v < 0:
             raise ValidationError(
@@ -210,26 +221,31 @@ class RoundState:
         several for a wave.  A wave's problems must not share a cloudlet
         (checked here), so their round graphs never touch.  Item indices
         are global: problem ``p``'s items follow those of problems
-        ``0 .. p-1``.
-    ledger:
-        The live capacity ledger the caller commits placements against.
-        The engine assumes residuals only decrease while it is active
-        (true for Algorithm 2, which never rolls back inside a solve).
+        ``0 .. p-1``.  The rounds start from the first problem's residual
+        snapshot (a wave shares one), in its key order -- the node order
+        of the ledger ``problems[0].ledger()`` would build -- and the
+        caller commits every placement through :meth:`allocate`.
     """
 
-    def __init__(
-        self,
-        problems: Sequence[AugmentationProblem],
-        ledger: CapacityLedger,
-    ):
-        self._ledger = ledger
+    def __init__(self, problems: Sequence[AugmentationProblem]):
         self._problems = tuple(problems)
-        self._nodes: list[int] = ledger.nodes  # fixed ledger ordering
+        snapshot = problems[0].residuals
+        # The node order, initial residuals and used sums of the ledger
+        # problems[0].ledger() would build, with its capacity check.
+        self._nodes: list[int] = list(snapshot)
+        self._initial: dict[int, float] = {}
+        for v, c in snapshot.items():
+            if c < 0:
+                raise ValidationError(
+                    f"initial capacity of node {v!r} must be >= 0, got {c}"
+                )
+            self._initial[v] = float(c)
         for v in self._nodes:
             if v < 0:
                 raise ValidationError(
                     f"negative cloudlet id {v} unsupported by the incremental engine"
                 )
+        self._used: dict[int, float] = dict.fromkeys(self._nodes, 0.0)
         statics = [_statics(problem) for problem in problems]
         self._rel_ladders = tuple(s.rel_ladders for s in statics)
         self._spans: list[tuple[int, int]] = []
@@ -271,15 +287,16 @@ class RoundState:
                     f"wave problems share cloudlet {int(self._edge_node[clash.argmax()])}"
                 )
         self._item_alive = np.ones(n_items, dtype=bool)
-        # Residual snapshot, delta-maintained: exact ledger floats, refreshed
-        # only for touched nodes.  Gap entries (non-ledger nodes below
+        # Residual snapshot, delta-maintained: ``initial - used`` per node,
+        # refreshed by allocate.  Gap entries (non-ledger nodes below
         # `size`) stay zero, which build_edges' `res[v] > 0` test reads.
         self._res = np.zeros(size, dtype=np.float64)
+        if self._nodes:
+            self._res[self._nodes] = [self.residual(v) for v in self._nodes]
         # Scratch index maps, overwritten each round before use.
         self._node_to_row = np.zeros(size, dtype=np.intp)
         self._col_of = np.zeros(n_items, dtype=np.intp)
         self._arange = np.arange(max(size, n_items), dtype=np.intp)
-        self._refresh_residuals()
         self._last_edge_idx: np.ndarray | None = None
         #: Indices of the problems still taking part in the rounds.
         self.active: list[int] = list(range(len(self._spans)))
@@ -320,9 +337,7 @@ class RoundState:
         :func:`warm_solver_for`'s, for a wave one over the concatenated
         universe, which needs ``universe_cost_sum`` pinned."""
         if len(self._problems) == 1:
-            return warm_solver_for(
-                self._problems[0], self._ledger, universe_cost_sum=universe_cost_sum
-            )
+            return _warm_solver(self._problems[0], self._nodes, universe_cost_sum)
         if universe_cost_sum is None:
             raise ValidationError("a wave's warm solver needs a pinned universe_cost_sum")
         return DualReusingSolver(
@@ -365,33 +380,45 @@ class RoundState:
         return rows, cols, edge_rows, edge_cols, edge_costs
 
     # -- delta application -----------------------------------------------------
+    def residual(self, v: int) -> float:
+        """Remaining capacity at node ``v``: ``initial - used``, the float a
+        ledger over the snapshot holding the same allocations reports."""
+        return self._initial[v] - self._used[v]
+
+    def allocate(self, v: int, demand: float) -> None:
+        """Commit one placement of ``demand`` at node ``v``.
+
+        The strict ledger test ``residual + EPS >= demand``, then the used
+        sum extended in place and the node's residual entry refreshed.
+
+        Raises
+        ------
+        CapacityError
+            If the placement does not fit (Theorem 6.2 says it always does).
+        KeyError
+            If ``v`` is not a node of the snapshot.
+        """
+        initial = self._initial[v]
+        used = self._used[v]
+        if not initial - used + EPS >= demand:
+            raise CapacityError(
+                f"allocating {demand:.3f} at node {v} exceeds residual "
+                f"{initial - used:.3f}"
+            )
+        used += demand
+        self._used[v] = used
+        self._res[v] = initial - used
+
     def retire(self, member: int) -> None:
         """Take problem ``member`` out of every later round."""
         lo, hi = self._spans[member]
         self._item_alive[lo:hi] = False
         self.active.remove(member)
 
-    def apply_round(self, touched: Sequence[int], matched: Sequence[int]) -> None:
-        """Commit one round's outcome to the incremental state.
+    def apply_round(self, matched: Sequence[int]) -> None:
+        """Remove the global item indices placed this round from ``I``.
 
-        Parameters
-        ----------
-        touched:
-            Cloudlet node ids that received an allocation this round (the
-            only nodes whose residual -- and hence edge set -- can have
-            changed).
-        matched:
-            Global item indices placed this round; they leave ``I``.
+        Their capacity is already committed through :meth:`allocate`, which
+        refreshed every touched node's residual.
         """
         self._item_alive[matched] = False
-        residual = self._ledger.residual
-        res = self._res
-        for u in set(touched):
-            res[u] = residual(u)
-
-    def _refresh_residuals(self) -> None:
-        """Read every node's residual from the ledger (the initialisation)."""
-        residual = self._ledger.residual
-        res = self._res
-        for v in self._nodes:
-            res[v] = residual(v)

@@ -54,17 +54,20 @@ underneath it -- ``v`` only ever falls, so other candidates can only have
 got *worse*) and still free is matched in O(1) -- the "dual-tightness
 hit".  Rows that miss run a full Dijkstra whose frontier is a
 lazy-deletion binary heap, so a pop costs ``O(log f)`` instead of the
-``O(width)`` full-array ``argmin`` of the original sweep.
+``O(width)`` full-array ``argmin`` of the original sweep.  Everything
+after the prepass runs on plain Python lists, converted once per round
+and written back at its end: Algorithm 2's round rows carry about ten
+edges each, too few for a NumPy call per relaxed row to pay for itself.
 
 The heap sweep is bit-identical to that original ``argmin`` scan, which
 ``tests/reference/scan.py`` keeps as the differential reference: the
 heap's estimates are the exact floats the scan computes (same ``offset +
-((cost - u_i) - v_j)`` associativity), heap ties order by ``(value,
-column)`` which reproduces ``argmin``'s first-index rule, and pushes
-mirror the scan's strict-``<`` relaxation so the popped entry's
-predecessor is always the scan's.  ``tests/test_matching_warm_delta.py``
-asserts the equivalence pair-for-pair on random round sequences, tied
-costs included.
+((cost - u_i) - v_j)`` associativity, scalar instead of vectorised), heap
+ties order by ``(value, column)`` which reproduces ``argmin``'s
+first-index rule, and pushes mirror the scan's strict-``<`` relaxation so
+the popped entry's predecessor is always the scan's.
+``tests/test_matching_warm_delta.py`` asserts the equivalence
+pair-for-pair on random round sequences, tied costs included.
 
 A :class:`UniverseIndex` (built once per problem/node-order by
 :func:`repro.matching.incremental.warm_solver_for`) presorts the *static
@@ -84,6 +87,7 @@ scanned before dummy columns.
 
 from __future__ import annotations
 
+import math
 import os
 from heapq import heappop, heappush
 from typing import Sequence
@@ -426,7 +430,8 @@ class DualReusingSolver:
         return csr_erow, csr_cols, csr_costs
 
     def _cut_free_rows(
-        self, n, m, u, v_local, csr_erow, csr_cols, csr_costs, row4col, col4row,
+        self, n, m, u, v_local, csr_erow, csr_cols, csr_costs, indptr,
+        row4col, col4row,
     ) -> int:
         """Reject a grown round, else restore dual feasibility on free rows.
 
@@ -448,17 +453,23 @@ class DualReusingSolver:
         Potentials never exceed zero, so the cut row is feasible against
         every column, and it is re-augmented anyway.  Only the round-local
         ``u`` changes.  Returns the number of rows cut.
+
+        Per-row minima are taken with ``np.minimum.reduceat`` over the CSR
+        starts of the rows that have an edge (consecutive nonempty starts
+        delimit exactly those rows' slices).
         """
         width = m + n
+        big = self._big
         worst = np.zeros(n)
-        if csr_costs.size:
+        starts = indptr[:-1]
+        nonempty = indptr[1:] > starts
+        ne_starts = starts[nonempty]
+        if ne_starts.size:
             slack = csr_costs - u[csr_erow] - v_local[csr_cols]
-            np.minimum.at(worst, csr_erow, np.minimum(slack, 0.0))
-        np.minimum(
-            worst, np.minimum((self._big - u) - v_local[m:width], 0.0), out=worst
-        )
+            worst[nonempty] = np.minimum(np.minimum.reduceat(slack, ne_starts), 0.0)
+        np.minimum(worst, np.minimum((big - u) - v_local[m:width], 0.0), out=worst)
         matched = col4row >= 0
-        if bool(np.any(worst[matched] < -self._big * 1e-12)):
+        if bool(np.any(worst[matched] < -big * 1e-12)):
             raise ValidationError(
                 "the round graph grew: a matched row's dual is infeasible "
                 "(warm rounds must shrink)"
@@ -470,9 +481,11 @@ class DualReusingSolver:
             )
         rows_bad = np.nonzero((worst < 0.0) & ~matched)[0]
         if rows_bad.size:
-            rawmin = np.full(n, self._big)
-            if csr_costs.size:
-                np.minimum.at(rawmin, csr_erow, csr_costs)
+            rawmin = np.full(n, big)
+            if ne_starts.size:
+                rawmin[nonempty] = np.minimum(
+                    np.minimum.reduceat(csr_costs, ne_starts), big
+                )
             u[rows_bad] = np.minimum(u[rows_bad], rawmin[rows_bad])
         return int(rows_bad.size)
 
@@ -525,7 +538,8 @@ class DualReusingSolver:
         col4row = np.full(n, -1, dtype=np.intp)
         stats = self.stats
         stats.dual_repairs += self._cut_free_rows(
-            n, m, u, v_local, csr_erow, csr_cols, csr_costs, row4col, col4row
+            n, m, u, v_local, csr_erow, csr_cols, csr_costs, indptr,
+            row4col, col4row,
         )
         stats.rows_total += n
         stats.rows_reaugmented += n
@@ -620,7 +634,8 @@ class DualReusingSolver:
 
         stats = self.stats
         stats.dual_repairs += self._cut_free_rows(
-            n, m, u, v_local, csr_erow, csr_cols, csr_costs, row4col, col4row
+            n, m, u, v_local, csr_erow, csr_cols, csr_costs, indptr,
+            row4col, col4row,
         )
 
         orphans = np.nonzero(col4row == -1)[0].tolist()
@@ -657,7 +672,9 @@ class DualReusingSolver:
 
         Bit-identical to the reference ``argmin`` scan (same floats, same
         tie-breaks, same dual updates); only the work per augmentation
-        differs.
+        differs.  The prepass is vectorised; everything after it runs on
+        plain Python lists converted once per round, and ``u``,
+        ``v_local`` and the matching are written back at the end.
         """
         if not orphans:
             return
@@ -715,14 +732,14 @@ class DualReusingSolver:
         minv_l = minv.tolist()
         dumv_l = dumv.tolist()
         arg_l = argcol.tolist()
+        # The sequential part: the same IEEE doubles on plain lists.
         iptr_l = indptr.tolist()
-        # The sequential part keeps ``u`` and the matching on plain Python
-        # lists (same IEEE doubles, no tiny-slice NumPy overhead); the big
-        # per-edge arrays stay NumPy so the vectorised relaxations can
-        # slice them, and the rare cache-miss loop reads them per scalar.
+        cols_l = csr_cols.tolist()
+        costs_l = csr_costs.tolist()
         u_l = u.tolist()
-        r4c = row4col[:width].tolist()
-        c4r = col4row[:n].tolist()
+        v_l = v_local.tolist()
+        r4c = row4col.tolist()
+        c4r = col4row.tolist()
         # Real columns whose potential changed since the prepass.  v only
         # ever *falls*, so a stale candidate can only have got worse -- a
         # clean candidate is therefore still the row's first-index minimum.
@@ -751,11 +768,11 @@ class DualReusingSolver:
                 # first-relaxation minimum -- exactly the scan's first pop
                 # under the *current* duals -- in O(degree).
                 ui = u_l[cur_row]
-                mv = np.inf
+                mv = math.inf
                 c = -1
                 for p in range(iptr_l[cur_row], iptr_l[cur_row + 1]):
-                    j = int(csr_cols[p])
-                    cand = 0.0 + ((csr_costs[p] - ui) - v_local[j])
+                    j = cols_l[p]
+                    cand = 0.0 + ((costs_l[p] - ui) - v_l[j])
                     if cand < mv:
                         mv = cand
                         c = j
@@ -770,8 +787,8 @@ class DualReusingSolver:
                     # Genuine conflict: the cheapest column is matched, so
                     # the augmenting path has length > 1.
                     pops += self._augment_heap(
-                        cur_row, m, u_l, v_local, csr_cols, csr_costs,
-                        iptr_l, r4c, c4r, dirty,
+                        cur_row, m, u_l, v_l, cols_l, costs_l, iptr_l,
+                        r4c, c4r, dirty,
                     )
                     continue
             # First pop is a free column: the scan would have ended here.
@@ -780,44 +797,45 @@ class DualReusingSolver:
             c4r[cur_row] = c
             quick += 1
         u[:] = u_l
-        row4col[:width] = r4c
-        col4row[:n] = c4r
+        if dirty:
+            v_local[:] = v_l
+        row4col[:] = r4c
+        col4row[:] = c4r
         stats.quick_matches += quick
         stats.heap_pops += pops
 
     def _augment_heap(
-        self, cur_row, m, u_l, v_local, csr_cols, csr_costs, iptr_l,
-        r4c, c4r, dirty,
+        self, cur_row, m, u_l, v_l, cols_l, costs_l, iptr_l, r4c, c4r, dirty,
     ) -> int:
         """One shortest augmenting path with a lazy-deletion binary heap.
 
-        Shares the sweep's Python lists for ``u`` and the matching, but
-        relaxes each popped row's whole edge slice as one NumPy expression
-        (the per-edge Python loop dominated the profile), and keeps *free*
-        columns out of the heap entirely: the search can only ever end at
-        the cheapest free column reached, so a single ``(value, column)``
-        running minimum stands in for all of them, and matched candidates
-        at or above that bound are pruned at push time (the bound only
-        falls, so a pruned entry could never have popped first).  Pop
-        order provably matches the scan's ``argmin``: pushed values are
-        the scan's exact floats (the elementwise ``offset + ((cost - u_i)
-        - v_j)`` double arithmetic is associativity-identical to the
-        scalar form), per-column pushes are strictly decreasing
+        Works on the sweep's plain lists (``u``, ``v``, the CSR columns and
+        costs, the matching) and relaxes each popped row's edge slice with
+        a scalar loop; ``dist`` and ``pred`` are dicts over the columns the
+        search reaches, and ``scanned`` a set.  *Free* columns stay out of
+        the heap entirely: the search can only ever end at the cheapest
+        free column reached, so a single ``(value, column)`` running
+        minimum stands in for all of them, and matched candidates at or
+        above that bound are pruned at push time (the bound only falls, so
+        a pruned entry could never have popped first).  Pop order provably
+        matches the scan's ``argmin``: pushed values are the scan's exact
+        floats (``offset + ((cost - u_i) - v_j)``, the same associativity
+        as its vectorised form), per-column pushes are strictly decreasing
         (strict-``<`` relaxation against the tentative distance), so a
         column's minimal entry pops first, and both the heap and the
         free-column minimum order ties by ``(value, column)`` -- the
         scan's first-index rule.  Stale heap entries pop later and are
         skipped because the column is already scanned; scanned columns
-        take a ``-inf`` tentative distance so the vectorised strict-``<``
-        test rejects them without an explicit mask.
+        take a ``-inf`` tentative distance so the strict-``<`` test
+        rejects them without a membership test.
         """
         big = self._big
-        width = m + len(c4r)
-        dist = np.full(width, np.inf)
-        pred = [-1] * width
-        scanned = [False] * width
+        inf = math.inf
+        dist: dict[int, float] = {}
+        pred: dict[int, int] = {}
+        scanned: set[int] = set()
         heap: list[tuple[float, int]] = []
-        best_val = np.inf
+        best_val = inf
         best_col = -1
         popped_cols: list[int] = []
         popped_dist: list[float] = []
@@ -826,43 +844,36 @@ class DualReusingSolver:
         offset = 0.0
         while True:
             ui = u_l[i]
-            lo = iptr_l[i]
-            hi = iptr_l[i + 1]
-            if hi > lo:
-                jcols = csr_cols[lo:hi]
-                cand = offset + ((csr_costs[lo:hi] - ui) - v_local[jcols])
-                imp = cand < dist[jcols]
-                cimp = cand[imp]
-                if cimp.size:
-                    jimp = jcols[imp]
-                    dist[jimp] = cimp
-                    for cc, jj in zip(cimp.tolist(), jimp.tolist()):
-                        pred[jj] = i
-                        if r4c[jj] < 0:
-                            if cc < best_val or (cc == best_val and jj < best_col):
-                                best_val = cc
-                                best_col = jj
-                        elif cc < best_val or (cc == best_val and jj < best_col):
-                            heappush(heap, (cc, jj))
-            d = m + i
+            for p in range(iptr_l[i], iptr_l[i + 1]):
+                j = cols_l[p]
+                cc = offset + ((costs_l[p] - ui) - v_l[j])
+                if cc < dist.get(j, inf):
+                    dist[j] = cc
+                    pred[j] = i
+                    if cc < best_val or (cc == best_val and j < best_col):
+                        if r4c[j] < 0:
+                            best_val = cc
+                            best_col = j
+                        else:
+                            heappush(heap, (cc, j))
             # The private dummy of every relaxed row is free: a matched
             # dummy could only be reached through its own row, which would
             # itself have to be reached through that same dummy.
-            if not scanned[d]:
-                cd = offset + ((big - ui) - v_local[d])
-                if cd < dist[d]:
-                    dist[d] = cd
-                    pred[d] = i
-                    if cd < best_val or (cd == best_val and d < best_col):
-                        best_val = cd
-                        best_col = d
+            d = m + i
+            cd = offset + ((big - ui) - v_l[d])
+            if cd < dist.get(d, inf):
+                dist[d] = cd
+                pred[d] = i
+                if cd < best_val or (cd == best_val and d < best_col):
+                    best_val = cd
+                    best_col = d
             while True:
                 if heap:
                     entry = heap[0]
                     if best_col < 0 or entry < (best_val, best_col):
                         heappop(heap)
                         j = entry[1]
-                        if scanned[j]:
+                        if j in scanned:
                             continue  # lazy deletion: stale entries skip here
                         closest = entry[0]
                         break
@@ -871,8 +882,8 @@ class DualReusingSolver:
                 closest, j = best_val, best_col
                 break
             pops += 1
-            scanned[j] = True
-            dist[j] = -np.inf
+            scanned.add(j)
+            dist[j] = -inf
             if r4c[j] < 0:
                 sink, minval = j, closest
                 break
@@ -884,7 +895,7 @@ class DualReusingSolver:
             # Same per-element update the scan applies vectorised (popped
             # columns and their matched rows are pairwise distinct).
             delta = minval - dd
-            v_local[jc] -= delta
+            v_l[jc] -= delta
             u_l[r4c[jc]] += delta
             if jc < m:
                 dirty.add(jc)

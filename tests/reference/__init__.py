@@ -12,6 +12,9 @@ without a runtime switch in the library:
 * :mod:`tests.reference.scan` -- the full-array ``argmin`` sweep of the
   warm LAP core, the reference for the heap sweep of
   :class:`repro.matching.warmstart.DualReusingSolver`;
+* :mod:`tests.reference.trim` -- the expectation trim recomputing the
+  chain reliability per candidate, the reference for the ladder trim of
+  :func:`repro.core.solution.trim_to_expectation`;
 * :mod:`tests.reference.waxman` -- the whole-matrix Waxman generator with
   its pairwise component join, the reference for the row-blocked
   :func:`repro.topology.gtitm.generate_gtitm_topology`;

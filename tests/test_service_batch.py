@@ -9,6 +9,11 @@ Both modes share one round loop, so both are also compared against
 one-request-at-a-time model solved by the heuristic's rebuild engine.
 The service solves on the warm backend only; these tests check it on
 >= 28 seeded traces and on hypothesis-generated random bursts.
+
+The seeded traces run on a sparse 300-AP network of 30 cloudlets, where
+most requests are admitted and waves coalesce, so every seed compares
+union solves; the other tests use a small 60-AP network of 6 cloudlets,
+where most requests are rejected primary-infeasible.
 """
 
 from __future__ import annotations
@@ -25,10 +30,15 @@ from repro.netmodel.vnf import VNFCatalog
 from repro.service.batch import BatchAdmissionEngine, SERVICE_COST_CAP
 from repro.service.server import replay_trace
 from repro.service.trace import TracePhase, flash_crowd_phases, synthetic_trace
+from repro.topology.gtitm import WaxmanParameters, generate_gtitm_topology
+from repro.topology.placement import CloudletPlacementConfig, build_mec_network
 from repro.util.errors import ValidationError
 from tests.service_reference import ReferenceAdmission
 
 SETTINGS = ExperimentSettings(num_aps=60, capacity_range=(2000, 4000))
+WAVE_SETTINGS = ExperimentSettings(
+    num_aps=300, capacity_range=(4000, 8000), sfc_length_range=(3, 5)
+)
 
 
 def build_instance(topology_seed: int):
@@ -38,35 +48,59 @@ def build_instance(topology_seed: int):
     return network, catalog
 
 
-# One topology per module: the differential varies trace + service seeds.
+def build_wave_instance(topology_seed: int):
+    """The sparse network of the seeded traces.  Scaling the Waxman alpha
+    down with the size keeps radius-1 domains small, so disjoint requests
+    are common and waves hold several members."""
+    rng = np.random.default_rng(topology_seed)
+    graph = generate_gtitm_topology(
+        WAVE_SETTINGS.num_aps,
+        params=WaxmanParameters(alpha=30.0 / WAVE_SETTINGS.num_aps),
+        rng=rng,
+    )
+    network = build_mec_network(
+        graph,
+        config=CloudletPlacementConfig(
+            cloudlet_fraction=0.10, capacity_range=WAVE_SETTINGS.capacity_range
+        ),
+        rng=rng,
+    )
+    return network, VNFCatalog.random(rng=rng)
+
+
+# One topology per instance: the differentials vary trace + service seeds.
 _NETWORK, _CATALOG = build_instance(1234)
+_SMALL = (SETTINGS, _NETWORK, _CATALOG)
+_WAVES = (WAVE_SETTINGS, *build_wave_instance(4321))
 
 
 def service_ledger(network):
     return CapacityLedger({v: network.capacity(v) for v in network.cloudlets})
 
 
-def flash_trace(trace_seed, requests):
+def flash_trace(trace_seed, requests, instance=_SMALL):
+    settings, _, catalog = instance
     return synthetic_trace(
         flash_crowd_phases(requests, base_rate=20.0),
-        _CATALOG,
-        SETTINGS,
+        catalog,
+        settings,
         rng=np.random.default_rng(trace_seed),
         holding_time=2.0,
     )
 
 
-def run_mode(mode, trace_seed, service_seed, requests=40, window=1.0):
+def run_mode(mode, trace_seed, service_seed, requests=40, window=1.0, instance=_SMALL):
+    network = instance[1]
     if mode == "reference":
-        engine = ReferenceAdmission(_NETWORK, rng=np.random.default_rng(service_seed))
+        engine = ReferenceAdmission(network, rng=np.random.default_rng(service_seed))
     else:
         engine = BatchAdmissionEngine(
-            _NETWORK,
-            ledger=service_ledger(_NETWORK),
+            network,
+            ledger=service_ledger(network),
             mode=mode,
             rng=np.random.default_rng(service_seed),
         )
-    trace = flash_trace(trace_seed, requests)
+    trace = flash_trace(trace_seed, requests, instance)
     stats = replay_trace(engine, trace, window=window, keep_records=True)
     return engine, stats
 
@@ -86,33 +120,43 @@ def assert_identical(batched, sequential):
 
 
 class TestWarmDifferential:
-    """The acceptance criterion: >= 25 seeded traces, batched == sequential."""
+    """The acceptance criterion: >= 25 seeded traces, batched == sequential
+    == reference, each one comparing union solves."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_batched_equals_sequential(self, seed):
-        batched = run_mode("batched", 1000 + seed, 2000 + seed)
-        sequential = run_mode("sequential", 1000 + seed, 2000 + seed)
-        reference = run_mode("reference", 1000 + seed, 2000 + seed)
-        assert_identical(batched, sequential)
-        assert_identical(batched, reference)
+        runs = {
+            mode: run_mode(mode, 1000 + seed, 2000 + seed, requests=60, instance=_WAVES)
+            for mode in ("batched", "sequential", "reference")
+        }
+        assert_identical(runs["batched"], runs["sequential"])
+        assert_identical(runs["batched"], runs["reference"])
+        # Not vacuous: most of the 60 requests are admitted (40-54 per
+        # seed) and several waves solve members together (7-14 per seed).
+        stats = runs["batched"][0].stats
+        assert stats["admitted"] >= 35
+        assert stats["amortized_waves"] >= 5
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_short_trace_batched_equals_sequential(self, seed):
-        batched = run_mode("batched", 500 + seed, 600 + seed, requests=25)
-        sequential = run_mode("sequential", 500 + seed, 600 + seed, requests=25)
-        reference = run_mode("reference", 500 + seed, 600 + seed, requests=25)
-        assert_identical(batched, sequential)
-        assert_identical(batched, reference)
+        runs = {
+            mode: run_mode(mode, 500 + seed, 600 + seed, requests=25, instance=_WAVES)
+            for mode in ("batched", "sequential", "reference")
+        }
+        assert_identical(runs["batched"], runs["sequential"])
+        assert_identical(runs["batched"], runs["reference"])
+        assert runs["batched"][0].stats["amortized_waves"] >= 1
 
     def test_union_path_actually_engages(self):
         """Guard against vacuous identity: an engine built with the defaults
         (no backend, no mode) coalesces members into waves of several,
         solved together."""
+        network = _WAVES[1]
         engine = BatchAdmissionEngine(
-            _NETWORK, ledger=service_ledger(_NETWORK), rng=np.random.default_rng(2000)
+            network, ledger=service_ledger(network), rng=np.random.default_rng(2000)
         )
-        replay_trace(engine, flash_trace(1000, requests=60), window=5.0)
-        assert engine.stats["amortized_waves"] > 0
+        replay_trace(engine, flash_trace(1000, 60, _WAVES), window=5.0)
+        assert engine.stats["amortized_waves"] >= 5
 
 
 def _requests_for(count, seed):
