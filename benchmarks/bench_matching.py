@@ -8,7 +8,9 @@ the three backends of :mod:`repro.matching.mincost` two ways:
   contract -- pairings may permute within equal-cost matchings).  The
   per-backend timings double as the *cold single-shot* record: summed over
   the grid the warm solver must be no slower than the dense scipy
-  reduction (it skips the ``(n + m)^2`` big-M padding).
+  reduction (it skips the ``(n + m)^2`` big-M padding).  Each backend's
+  time is the minimum of ``TIMING_REPS`` solves, with the backends taking
+  turns in a rotating order within each rep.
 * **fig3-shape consume replay** -- the round-graph *sequence* a real
   Algorithm 2 solve produces on Figure-3-shaped instances is captured
   once (from the incremental engine under the dense reference backend),
@@ -83,19 +85,31 @@ def bench_mincost_heuristic_shape(benchmark, backend):
 #: (rows, cols, seed) instances for the backend cross-check.
 CROSSCHECK_GRID = [(10, 100, 1), (10, 300, 2), (20, 200, 3)]
 
-#: Timed calls per backend per instance; the minimum is recorded.
-TIMING_REPS = 3
+#: Timed calls per backend per instance; the minimum is recorded.  A
+#: cold solve on this grid takes about a millisecond, so a few reps leave
+#: the minimum inside host noise.
+TIMING_REPS = 25
 
 
-def _timed_solve(n_rows, n_cols, edges, backend):
-    """Solve once per rep and return (result, best_seconds)."""
-    best = float("inf")
-    result = None
-    for _ in range(TIMING_REPS):
-        start = time.perf_counter()
-        result = min_cost_max_matching(n_rows, n_cols, edges, backend=backend)
-        best = min(best, time.perf_counter() - start)
-    return result, best
+def _timed_solves(n_rows, n_cols, edges):
+    """Every backend once per rep; ``{backend: (result, best_seconds)}``.
+
+    The backends take turns within each rep, and each rep starts from the
+    next backend, so none always runs first on an instance and host drift
+    lands on all of them alike.
+    """
+    order = list(BACKENDS)
+    best = dict.fromkeys(order, float("inf"))
+    results = {}
+    for rep in range(TIMING_REPS):
+        shift = rep % len(order)
+        for backend in order[shift:] + order[:shift]:
+            start = time.perf_counter()
+            results[backend] = min_cost_max_matching(
+                n_rows, n_cols, edges, backend=backend
+            )
+            best[backend] = min(best[backend], time.perf_counter() - start)
+    return {backend: (results[backend], best[backend]) for backend in order}
 
 
 def run_crosscheck():
@@ -105,8 +119,9 @@ def run_crosscheck():
         edges = _heuristic_shaped_edges(n_rows, n_cols, seed)
         point: dict[str, object] = {"instance": f"{n_rows}x{n_cols}", "seed": seed}
         reference = None
+        solves = _timed_solves(n_rows, n_cols, edges)
         for backend in BACKENDS:
-            result, seconds = _timed_solve(n_rows, n_cols, edges, backend)
+            result, seconds = solves[backend]
             summary = (len(result), round(sum(e.cost for e in result), 9))
             point[f"cardinality_{backend}"] = summary[0]
             point[f"cost_{backend}"] = summary[1]
@@ -405,7 +420,10 @@ def bench_matching_report(benchmark, results_dir):
             "grid": [list(point) for point in CROSSCHECK_GRID],
             "backends": list(BACKENDS),
             "reps_per_backend": TIMING_REPS,
-            "timing": "min-of-reps per backend per instance",
+            "timing": (
+                "min-of-reps per backend per instance; the backends take "
+                "turns within each rep, in an order rotated every rep"
+            ),
         },
         points=crosscheck,
     )

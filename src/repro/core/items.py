@@ -40,12 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.reliability import (
-    cumulative_gain,
-    function_reliability,
-    item_gain,
-    paper_cost,
-)
+from repro.core.reliability import _check_r, cumulative_gain
 from repro.netmodel.neighborhoods import NeighborhoodIndex
 from repro.netmodel.vnf import Request
 from repro.util.errors import ValidationError
@@ -57,8 +52,13 @@ from repro.util.errors import ValidationError
 # for the gain ``g_i(k)`` and the accumulative reliability ``R_i(k)``.  The
 # ladders below are therefore computed once per instance reliability and
 # shared across items, problems, and batch requests drawn from one catalog.
-# Entries are produced by the exact same scalar functions as before, so
-# cached and uncached values are bit-identical.
+#
+# A ladder grows by its missing entries in one loop: ``r`` is checked once
+# per extension, and each entry is the scalar function's own expression
+# (``-log r - k * log1p(-r)`` for ``paper_cost``, ``1 - (1-r)^(n+1)`` for
+# ``function_reliability``, ``log R(k) - log R(k-1)`` for ``item_gain``,
+# with ``r == 1`` handled as they handle it), so memoized and scalar values
+# are bit-identical.
 #
 # A sweep draws a fresh catalog, with new reliabilities, for every trial, and
 # no later trial hits them; so a memo that reaches ``_LADDER_MEMO_LIMIT``
@@ -67,22 +67,56 @@ from repro.util.errors import ValidationError
 
 _LADDER_MEMO_LIMIT = 1024
 
+
+def _cost_entries(r: float, start: int, stop: int) -> list[float]:
+    """``paper_cost(r, k)`` for ``k = start + 1 .. stop``."""
+    if r >= 1.0:
+        return [math.inf] * (stop - start)
+    neg_log_r = -math.log(r)
+    log_q = math.log1p(-r)
+    return [neg_log_r - k * log_q for k in range(start + 1, stop + 1)]
+
+
+def _gain_entries(r: float, start: int, stop: int) -> list[float]:
+    """``item_gain(r, k)`` for ``k = start + 1 .. stop``."""
+    if r >= 1.0:
+        return [0.0] * (stop - start)
+    q = 1.0 - r
+    # log R(k) for k = start .. stop
+    logs = [math.log(1.0 - q ** (k + 1)) for k in range(start, stop + 1)]
+    return [b - a for a, b in zip(logs, logs[1:])]
+
+
+def _reliability_entries(r: float, start: int, stop: int) -> list[float]:
+    """``function_reliability(r, n)`` for ``n = start .. stop - 1``."""
+    if r >= 1.0:
+        return [1.0] * (stop - start)
+    q = 1.0 - r
+    return [1.0 - q ** (n + 1) for n in range(start, stop)]
+
+
+_LADDER_ENTRIES = {
+    "cost": _cost_entries,
+    "gain": _gain_entries,
+    "reliability": _reliability_entries,
+}
+
 _LADDER_CACHES: dict[str, dict[float, list[float]]] = {
-    "cost": {},
-    "gain": {},
-    "reliability": {},
+    kind: {} for kind in _LADDER_ENTRIES
 }
 
 
-def _extend_ladder(kind: str, r: float, length: int, compute) -> list[float]:
+def _extend_ladder(kind: str, r: float, length: int) -> list[float]:
     cache = _LADDER_CACHES[kind]
     ladder = cache.get(r)
     if ladder is None:
         if len(cache) >= _LADDER_MEMO_LIMIT:
             cache.clear()
         ladder = cache[r] = []
-    while len(ladder) < length:
-        ladder.append(compute(len(ladder)))
+    have = len(ladder)
+    if have < length:
+        _check_r(r)
+        ladder += _LADDER_ENTRIES[kind](r, have, length)
     return ladder
 
 
@@ -93,10 +127,7 @@ def paper_cost_ladder(reliability: float, k_max: int) -> tuple[float, ...]:
     """
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    ladder = _extend_ladder(
-        "cost", reliability, k_max, lambda n: paper_cost(reliability, n + 1)
-    )
-    return tuple(ladder[:k_max])
+    return tuple(_extend_ladder("cost", reliability, k_max)[:k_max])
 
 
 def gain_ladder(reliability: float, k_max: int) -> tuple[float, ...]:
@@ -106,10 +137,7 @@ def gain_ladder(reliability: float, k_max: int) -> tuple[float, ...]:
     """
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    ladder = _extend_ladder(
-        "gain", reliability, k_max, lambda n: item_gain(reliability, n + 1)
-    )
-    return tuple(ladder[:k_max])
+    return tuple(_extend_ladder("gain", reliability, k_max)[:k_max])
 
 
 def reliability_ladder(reliability: float, k_max: int) -> tuple[float, ...]:
@@ -120,11 +148,7 @@ def reliability_ladder(reliability: float, k_max: int) -> tuple[float, ...]:
     """
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    ladder = _extend_ladder(
-        "reliability", reliability, k_max + 1,
-        lambda n: function_reliability(reliability, n),
-    )
-    return tuple(ladder[: k_max + 1])
+    return tuple(_extend_ladder("reliability", reliability, k_max + 1)[: k_max + 1])
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ once* with NumPy boolean masks:
   build entirely -- the paper's default locality is ``l = 1``, and a CSR
   pass would cost more than it saves there.
 
+Every memo here is keyed weakly by its graph, and no memoized value holds
+its graph strongly (a kernel keeps a weak reference), so dropping a graph
+drops its indexing, CSR arrays, kernels and masks.
+
 Exactness: BFS hop distances are integers and the expansion is exhaustive,
 so the reach sets are *identical* (not approximately equal) to a plain
 BFS -- ``tests/test_kernels_csr.py`` proves it against
@@ -28,7 +32,7 @@ BFS -- ``tests/test_kernels_csr.py`` proves it against
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 import networkx as nx
 import numpy as np
@@ -181,14 +185,18 @@ class NeighborhoodKernel:
     primaries cost a single frontier-expansion pass rather than one BFS
     per position.  The CSR arrays are only built for ``radius >= 2``;
     radius 0/1 masks come directly from the adjacency dict.
+
+    The kernel holds its graph weakly: :func:`neighborhood_kernel` caches
+    it in a dict keyed weakly by that graph, and a strong reference would
+    keep the key, and so every trial's topology, alive for good.
     """
 
-    __slots__ = ("graph", "radius", "_indexing", "_csr", "_masks")
+    __slots__ = ("_graph", "radius", "_indexing", "_csr", "_masks")
 
     def __init__(self, graph: nx.Graph, radius: int):
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
-        self.graph = graph
+        self._graph = ref(graph)
         self.radius = radius
         # Everything array-shaped is lazy: creating a kernel for a topology
         # must cost nothing until a consumer actually needs masks, because
@@ -197,6 +205,14 @@ class NeighborhoodKernel:
         self._indexing: NodeIndexing | None = None
         self._csr: CSRAdjacency | None = None
         self._masks: dict[object, np.ndarray] = {}
+
+    @property
+    def graph(self) -> nx.Graph:
+        """The kernel's graph; ``ReferenceError`` once it has been dropped."""
+        graph = self._graph()
+        if graph is None:
+            raise ReferenceError("the kernel's graph no longer exists")
+        return graph
 
     @property
     def indexing(self) -> NodeIndexing:

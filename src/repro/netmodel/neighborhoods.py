@@ -174,6 +174,12 @@ class NeighborhoodIndex:
 
     def contains(self, v: int, u: int) -> bool:
         """Whether ``u ∈ N_l^+(v)``."""
+        if self._radius <= 1:
+            # radius <= 1 fast path, as in closed_cloudlets: no kernel, no mask.
+            adj_v = self._adj.get(v)
+            if adj_v is None:
+                raise KeyError(f"unknown node {v!r}")
+            return u == v or (self._radius == 1 and u in adj_v)
         if v not in self._closed:
             kernel = self._resolve_kernel()
             mask = kernel.mask(v)  # raises KeyError for unknown v

@@ -117,6 +117,11 @@ class VNFCatalog:
         Section 7.1: ``|F| = 30`` network function types, per-function
         computing demand uniform in ``[200, 400]`` MHz, per-function instance
         reliability uniform in ``[0.8, 0.9]`` (varied per experiment).
+
+        Type ``f{i}`` draws its demand, then its reliability.  All
+        ``2 * num_types`` values come from one ``gen.uniform`` call over
+        the interleaved bounds, which gives the same floats, and leaves the
+        generator in the same state, as one scalar call per value.
         """
         if num_types <= 0:
             raise ValidationError(f"num_types must be positive, got {num_types}")
@@ -127,12 +132,11 @@ class VNFCatalog:
         if not (0.0 < lo_d <= hi_d):
             raise ValidationError(f"invalid demand range {demand_range}")
         gen = as_rng(rng)
+        draws = gen.uniform(
+            [lo_d, lo_r] * num_types, [hi_d, hi_r] * num_types
+        ).tolist()
         types = [
-            VNFType(
-                name=f"f{i}",
-                demand=float(gen.uniform(lo_d, hi_d)),
-                reliability=float(gen.uniform(lo_r, hi_r)),
-            )
+            VNFType(name=f"f{i}", demand=draws[2 * i], reliability=draws[2 * i + 1])
             for i in range(num_types)
         ]
         return cls(types)

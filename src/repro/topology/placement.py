@@ -54,6 +54,10 @@ def assign_cloudlets(
 ) -> dict[int, float]:
     """Draw the cloudlet subset of ``graph`` and per-cloudlet capacities.
 
+    The capacities, one per chosen node in draw order, come from one
+    ``gen.uniform(lo, hi, size=count)`` call: the same floats, and the same
+    generator state after it, as one scalar call per cloudlet.
+
     Returns
     -------
     dict[int, float]
@@ -67,10 +71,8 @@ def assign_cloudlets(
     count = max(1, round(config.cloudlet_fraction * len(nodes)))
     chosen = gen.choice(len(nodes), size=count, replace=False)
     lo, hi = config.capacity_range
-    return {
-        nodes[int(i)]: float(gen.uniform(lo, hi))
-        for i in chosen
-    }
+    capacities = gen.uniform(lo, hi, size=count).tolist()
+    return dict(zip([nodes[i] for i in chosen.tolist()], capacities))
 
 
 def build_mec_network(

@@ -17,7 +17,13 @@ without a runtime switch in the library:
   :func:`repro.core.solution.trim_to_expectation`;
 * :mod:`tests.reference.waxman` -- the whole-matrix Waxman generator with
   its pairwise component join, the reference for the row-blocked
-  :func:`repro.topology.gtitm.generate_gtitm_topology`;
+  :func:`repro.topology.gtitm.generate_gtitm_topology`, and the row-blocked
+  generator built through networkx's ``add_*`` calls, the reference for
+  its direct fill of the graph's dicts;
+* :mod:`tests.reference.draws` -- the scalar-draw VNF catalog and cloudlet
+  capacities, the references for the one-call draws of
+  :meth:`repro.netmodel.vnf.VNFCatalog.random` and
+  :func:`repro.topology.placement.assign_cloudlets`;
 * :mod:`tests.reference.exact` -- the paper's literal assignment ILP
   (``solve_ilp`` on HiGHS or the branch-and-bound, and the
   ``AssignmentILP`` algorithm), the oracle for the aggregated model that

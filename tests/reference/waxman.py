@@ -1,4 +1,4 @@
-"""The Waxman generator as first shipped, reference for the row-blocked one.
+"""The Waxman generators the production one replaced.
 
 :func:`generate_gtitm_topology_reference` is the original
 :func:`repro.topology.gtitm.generate_gtitm_topology`: one ``(n, n, 2)``
@@ -9,6 +9,12 @@ block after each join (cubic in the component count).  The production
 generator must return the same nodes, node data and edges in the same
 order, and leave the generator in the same state
 (``tests/test_topology_reference.py``).
+
+:func:`generate_gtitm_topology_add_built` is the row-blocked generator as
+it was before it filled its graph directly: the same draws, built through
+``add_nodes_from`` / ``add_edges_from``.  The production graph must have
+the same node, edge and adjacency order and the same dict sharing
+(``tests/test_instance_reference.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 import networkx as nx
 import numpy as np
 
-from repro.topology.gtitm import WaxmanParameters
+from repro.topology.gtitm import _BLOCK_ROWS, WaxmanParameters
 from repro.util.errors import ValidationError
 from repro.util.rng import RandomState, as_rng
 
@@ -81,3 +87,60 @@ def generate_gtitm_topology_reference(
         for v in graph.nodes:
             graph.nodes[v]["pos"] = (float(pos[v, 0]), float(pos[v, 1]))
     return graph
+
+
+def generate_gtitm_topology_add_built(
+    num_nodes: int = 100,
+    params: WaxmanParameters | None = None,
+    rng: RandomState = None,
+    with_positions: bool = True,
+) -> nx.Graph:
+    """The row-blocked generator built through networkx's ``add_*`` calls.
+
+    The production generator fills the graph's node and adjacency dicts
+    directly; this is the construction it replaced: ``add_nodes_from``
+    (with ``pos`` in the same call when asked), ``add_edges_from`` over the
+    row-major Waxman edges, the pairwise component join, then ``freeze``.
+    Same draws as :func:`repro.topology.gtitm.generate_gtitm_topology`
+    (``uniform(0.0, 1.0)`` here, ``random`` there).
+    """
+    if num_nodes <= 0:
+        raise ValidationError(f"num_nodes must be positive, got {num_nodes}")
+    params = params or WaxmanParameters()
+    gen = as_rng(rng)
+
+    pos = gen.uniform(0.0, 1.0, size=(num_nodes, 2))
+    graph = nx.Graph()
+    if with_positions:
+        graph.add_nodes_from(
+            (v, {"pos": (x, y)}) for v, (x, y) in enumerate(pos.tolist())
+        )
+    else:
+        graph.add_nodes_from(range(num_nodes))
+
+    if num_nodes > 1:
+        graph.add_edges_from(_row_blocked_edges(pos, params, gen))
+        _connect_components(graph, pos)
+    return nx.freeze(graph)
+
+
+def _row_blocked_edges(
+    pos: np.ndarray, params: WaxmanParameters, gen: np.random.Generator
+) -> list[tuple[int, int]]:
+    """The row-blocked Waxman edges as ``(u, v)`` tuples, drawn with
+    ``uniform(0.0, 1.0)`` block by block."""
+    n = pos.shape[0]
+    x = pos[:, 0]
+    y = pos[:, 1]
+    scale = params.beta * math.sqrt(2.0)
+    edges: list[tuple[int, int]] = []
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        draws = gen.uniform(0.0, 1.0, size=(stop - start, n))
+        dx = x[start:stop, None] - x
+        dy = y[start:stop, None] - y
+        dist = np.sqrt(dx * dx + dy * dy)
+        prob = params.alpha * np.exp(-dist / scale)
+        iu, jv = np.nonzero(np.triu(draws < prob, k=start + 1))
+        edges.extend(zip((iu + start).tolist(), jv.tolist()))
+    return edges

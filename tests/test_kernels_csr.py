@@ -4,14 +4,25 @@ The vectorized multi-source BFS of :mod:`repro.kernels.csr` must reach
 *exactly* the node sets of networkx's
 ``single_source_shortest_path_length(..., cutoff=radius)`` -- hop distances
 are integers, so there is no tolerance to hide behind.
+``NeighborhoodIndex.contains`` must agree with the kernel's masks on its
+radius <= 1 fast path too, and the kernel caches must free a trial's graph
+once the trial drops it.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.algorithms.heuristic import MatchingHeuristic
+from repro.experiments.runner import run_point
+from repro.experiments.settings import ExperimentSettings
+from repro.experiments.workload import make_trial
+from repro.kernels import csr as csr_module
 from repro.kernels.csr import (
     CSRAdjacency,
     NeighborhoodKernel,
@@ -115,3 +126,85 @@ def test_kernel_memoized_per_graph_and_radius():
 def test_node_indexing_contiguity_flag():
     assert node_indexing(nx.path_graph(5)).contiguous
     assert not node_indexing(nx.Graph([("x", "y")])).contiguous
+
+
+# -- contains on the radius <= 1 fast path ---------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 23])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_contains_equals_kernel_mask(seed, radius):
+    """``contains`` answers exactly what the kernel's reach mask says, on
+    every node pair, whichever path serves it."""
+    graph = _random_connected_graph(seed, n=18, p=0.15)
+    index = NeighborhoodIndex(graph, radius, cloudlets=list(graph.nodes)[::3])
+    kernel = NeighborhoodKernel(graph, radius)
+    for v in graph.nodes:
+        mask = kernel.mask(v)
+        for u in graph.nodes:
+            assert index.contains(v, u) == bool(mask[kernel.index_of[u]]), (v, u)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_contains_unknown_nodes(radius):
+    graph = nx.Graph([(10, "a"), ("a", 30), (30, 10), (30, 40)])
+    index = NeighborhoodIndex(graph, radius)
+    with pytest.raises(KeyError):
+        index.contains(999, 10)
+    assert index.contains(10, 999) is False
+    assert index.contains("a", "a")
+    assert index.contains(10, "a") == (radius >= 1)
+    assert index.contains(10, 40) == (radius >= 2)
+
+
+def test_contains_at_radius_one_builds_no_kernel():
+    graph = _random_connected_graph(4, n=12)
+    index = NeighborhoodIndex(graph, 1)
+    for v in graph.nodes:
+        for u in graph.nodes:
+            index.contains(v, u)
+    assert index._kernel is None
+
+
+# -- each graph is freed with its last user ------------------------------------------
+
+
+def test_kernel_holds_its_graph_weakly():
+    graph = _random_connected_graph(9, n=10)
+    kernel = neighborhood_kernel(graph, 2)
+    assert kernel.graph is graph
+    graph_ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert graph_ref() is None
+    with pytest.raises(ReferenceError):
+        kernel.graph
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_trial_graph_is_freed_after_the_trial(radius):
+    """A trial's topology, with its kernel, indexing, CSR view and masks, is
+    gone once the trial is: nothing in the kernel caches keeps it alive."""
+    settings = ExperimentSettings(radius=radius, sfc_length=6)
+    instance = make_trial(settings, rng=radius)
+    network = instance.network
+    index = network.neighborhoods(radius)
+    primaries = list(instance.problem.primary_placement)
+    index.prefetch(primaries)  # builds the kernel (and at radius 2 the CSR view)
+    for v in primaries:
+        index.closed(v)
+    graph = network.graph
+    assert graph in csr_module._KERNEL_CACHE
+    graph_ref = weakref.ref(graph)
+    del instance, network, index, graph
+    gc.collect()
+    assert graph_ref() is None
+
+
+def test_run_point_leaves_no_kernel_behind():
+    settings = ExperimentSettings(radius=2, sfc_length=4)
+    gc.collect()
+    before = len(csr_module._KERNEL_CACHE)
+    run_point(settings, [MatchingHeuristic()], trials=6, rng=5, jobs=1)
+    gc.collect()
+    assert len(csr_module._KERNEL_CACHE) <= before

@@ -5,8 +5,9 @@ increase in ``k`` for every instance reliability ``r in (0, 1)`` -- each
 additional backup of one function is strictly more expensive, which is what
 makes prefix selections canonical.  Hypothesis drives ``r`` across the
 whole open interval; the memoized ladders of :mod:`repro.core.items` must
-agree with the scalar definitions *exactly* (they feed the incremental
-matching engine, whose bit-for-bit equivalence proof leans on it).
+agree with the scalar definitions *exactly*, however many calls grew them
+(they feed the incremental matching engine, whose bit-for-bit equivalence
+proof leans on it).
 
 Lemma 4.2: every solution returned by the heuristic, the ILP, and the
 branch-and-bound oracle selects a *prefix* of each position's items:
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.heuristic import MatchingHeuristic
 from repro.algorithms.ilp_exact import ILPAlgorithm
+from repro.core import items as core_items
 from repro.core.items import gain_ladder, paper_cost_ladder, reliability_ladder
 from repro.core.reliability import (
     function_reliability,
@@ -32,6 +34,7 @@ from repro.core.reliability import (
     paper_cost,
 )
 from repro.experiments.instances import differential_suite
+from repro.util.errors import ValidationError
 from tests.reference.exact import AssignmentILP
 
 reliabilities = st.floats(
@@ -77,6 +80,36 @@ class TestLemma41CostMonotonicity:
             assert gains[k - 1] == item_gain(r, k)
         for k in range(K_MAX + 1):
             assert rels[k] == function_reliability(r, k)
+
+    @given(
+        r=st.one_of(reliabilities, st.just(1.0)),
+        steps=st.lists(st.integers(min_value=0, max_value=45), min_size=1, max_size=4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_ladders_grown_in_steps_match_scalars_exactly(self, r, steps):
+        """A ladder grown over several calls (e.g. 3, then 40 entries) is
+        bit-identical to the per-entry scalar functions, ``r == 1`` included."""
+        for memo in core_items._LADDER_CACHES.values():
+            memo.pop(r, None)
+        for k_max in steps:
+            costs = paper_cost_ladder(r, k_max)
+            gains = gain_ladder(r, k_max)
+            rels = reliability_ladder(r, k_max)
+            assert [c.hex() for c in costs] == [
+                paper_cost(r, k).hex() for k in range(1, k_max + 1)
+            ]
+            assert [g.hex() for g in gains] == [
+                item_gain(r, k).hex() for k in range(1, k_max + 1)
+            ]
+            assert [x.hex() for x in rels] == [
+                function_reliability(r, k).hex() for k in range(k_max + 1)
+            ]
+
+    @pytest.mark.parametrize("r", [0.0, -0.25, 1.5, math.nan, math.inf])
+    def test_ladders_reject_out_of_range_reliability(self, r):
+        for ladder in (paper_cost_ladder, gain_ladder, reliability_ladder):
+            with pytest.raises(ValidationError, match="instance reliability"):
+                ladder(r, 3)
 
     @given(r=reliabilities)
     @settings(max_examples=80, deadline=None)

@@ -84,7 +84,7 @@ def test_sparse_cases_exercise_the_join():
             pos = gen.uniform(0.0, 1.0, size=(n, 2))
             graph = nx.Graph()
             graph.add_nodes_from(range(n))
-            graph.add_edges_from(gtitm._waxman_edges(pos, params, gen))
+            graph.add_edges_from(zip(*gtitm._waxman_edges(pos, params, gen)))
             counts.append(nx.number_connected_components(graph))
     assert sum(c > 1 for c in counts) > 0.9 * len(counts)
     assert max(counts) >= 50
