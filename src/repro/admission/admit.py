@@ -3,14 +3,15 @@
 :func:`admit_request` runs the Section 4.1 admission framework: DAG-based
 maximum-reliability placement with capacity-aware re-planning.  The DAG's
 dynamic program picks one cloudlet per layer independently of how many other
-layers picked the same cloudlet, so after committing each position the
-remaining suffix is re-planned against updated residuals whenever a
-commitment no longer fits -- at most ``L`` re-plans, each a fresh DP sweep.
+layers picked the same cloudlet, so the remaining suffix is re-planned
+against updated residuals whenever a planned cloudlet no longer fits -- at
+most ``L`` re-plans, each a fresh DP sweep
+(:func:`~repro.admission.transaction.planned`).
 
 :func:`random_primary_placement` reproduces the *experimental* convention of
-Section 7.1: primaries are deployed uniformly at random onto cloudlets
-(capacity-checked or not, caller's choice -- the paper's sweeps treat the
-stated residual fraction as the post-admission state).
+Section 7.1: primaries are deployed uniformly at random onto cloudlets,
+capacity-blind -- the paper's sweeps treat the stated residual fraction as
+the post-admission state.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.admission.dag import AdmissionDAG, most_reliable_path_weights
+from repro.admission.transaction import Admission, planned
 from repro.netmodel.capacity import CapacityLedger
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request
-from repro.util.errors import InfeasibleError
 from repro.util.rng import RandomState, as_rng
 
 
@@ -67,32 +68,7 @@ def admit_request(
     transport = (
         most_reliable_path_weights(network.graph) if use_transport_reliability else None
     )
-    checkpoint = ledger.checkpoint()
-    try:
-        placement: list[int] = []
-        position = 0
-        while position < request.chain.length:
-            dag = AdmissionDAG(network, request, ledger.residuals(), transport)
-            anchor = placement[-1] if placement else None
-            plan = dag.shortest_placement(start_from=position, anchor=anchor)
-            # commit the plan until a cloudlet no longer fits, then re-plan
-            committed = 0
-            for offset, v in enumerate(plan):
-                func = request.chain[position + offset]
-                if not ledger.fits(v, func.demand):
-                    break
-                ledger.allocate(v, func.demand, tag=f"primary:{request.name}#{position + offset}")
-                committed += 1
-            if committed == 0:
-                raise InfeasibleError(
-                    f"request {request.name!r}: cannot place primary of position {position}"
-                )
-            placement.extend(plan[:committed])
-            position += committed
-    except InfeasibleError:
-        ledger.rollback(checkpoint)
-        raise
-
+    placement = Admission(ledger, request, planned(network, transport)).primaries
     dag = AdmissionDAG(
         network,
         request,
@@ -102,7 +78,7 @@ def admit_request(
     )
     reliability = dag.placement_reliability(placement)
     return AdmissionOutcome(
-        placement=tuple(placement),
+        placement=placement,
         reliability=reliability,
         meets_expectation=request.meets_expectation(reliability),
     )
@@ -112,40 +88,14 @@ def random_primary_placement(
     network: MECNetwork,
     request: Request,
     rng: RandomState = None,
-    ledger: CapacityLedger | None = None,
 ) -> tuple[int, ...]:
     """Uniform random primary placement onto cloudlets (Section 7.1).
 
-    When ``ledger`` is given, each draw is restricted to cloudlets that can
-    still fit the position's demand and the capacity is allocated; without a
-    ledger the draw is unconstrained (the experiment harness's convention,
-    where the stated residual fraction already reflects admitted load).
-
-    Raises
-    ------
-    InfeasibleError
-        If a ledger is given and some position fits on no cloudlet (the
-        ledger is rolled back).
+    The draw ignores capacity (the experiment harness's convention, where
+    the stated residual fraction already reflects admitted load); the
+    capacity-checked draw is :func:`~repro.admission.transaction.redrawn`.
     """
     gen = as_rng(rng)
-    cloudlets = list(network.cloudlets)
-    placement: list[int] = []
-    if ledger is None:
-        idx = gen.integers(0, len(cloudlets), size=request.chain.length)
-        return tuple(cloudlets[int(i)] for i in idx)
-
-    checkpoint = ledger.checkpoint()
-    try:
-        for i, func in enumerate(request.chain):
-            feasible = [v for v in cloudlets if ledger.fits(v, func.demand)]
-            if not feasible:
-                raise InfeasibleError(
-                    f"request {request.name!r}: no cloudlet fits primary of position {i}"
-                )
-            v = feasible[int(gen.integers(0, len(feasible)))]
-            ledger.allocate(v, func.demand, tag=f"primary:{request.name}#{i}")
-            placement.append(v)
-    except InfeasibleError:
-        ledger.rollback(checkpoint)
-        raise
-    return tuple(placement)
+    cloudlets = network.cloudlets
+    idx = gen.integers(0, len(cloudlets), size=request.chain.length)
+    return tuple(cloudlets[int(i)] for i in idx)

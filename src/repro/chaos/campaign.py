@@ -166,8 +166,7 @@ class ChaosStreamController(ResilientStreamController):
             # the degraded target becomes the committed chain's expectation:
             # repairs and audits hold it to what it was admitted under
             request = replace(request, expectation=target)
-        self._commit_request(request, now)
-        outcome = self.metrics.report.outcomes[-1]
+        outcome = self._commit_request(request, now)
         self.tracker.on_admission(
             outcome.admitted, outcome.expectation_met, shed, state
         )

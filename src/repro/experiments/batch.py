@@ -8,10 +8,10 @@ composes the paper's building blocks into that system-level loop:
 
 1. requests arrive one at a time (a fresh chain and expectation per
    request, drawn exactly like the paper's workload);
-2. each is admitted via :func:`random_primary_placement` (capacity-checked)
-   or the DAG framework;
+2. each is one :class:`~repro.admission.transaction.Admission`, its
+   primaries drawn among the cloudlets that fit (``redrawn``);
 3. the chosen augmentation algorithm places its backups against the live
-   shared ledger;
+   shared ledger, and the transaction commits them;
 4. committed placements stay -- the next request sees less capacity.
 
 The batch report records per-request outcomes and system totals
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.admission.admit import random_primary_placement
+from repro.admission.transaction import Admission, redrawn
 from repro.algorithms.base import AugmentationAlgorithm
 from repro.core.problem import AugmentationProblem
 from repro.core.solution import AugmentationSolution
@@ -143,14 +143,15 @@ def run_joint_comparison(
 
     requests = []
     placements = []
+    choose = redrawn(network.cloudlets, gen)
     for index in range(num_requests):
         request = make_request(settings, catalog, gen, name=f"joint-{index}")
         try:
-            primaries = random_primary_placement(network, request, rng=gen, ledger=ledger)
+            admission = Admission(ledger, request, choose)
         except InfeasibleError:
             continue  # skip requests whose primaries don't fit the snapshot
         requests.append(request)
-        placements.append(primaries)
+        placements.append(admission.primaries)
     shared_residuals = ledger.residuals()
 
     # One lazily-memoized neighborhood index serves every request of the
@@ -221,14 +222,11 @@ def run_request_stream(
     be placed is rejected and consumes nothing; augmentation placements of
     accepted requests are committed permanently.
 
-    Commits are transactional: each request's primaries and backups form
-    one ledger transaction bracketed by
-    :meth:`~repro.netmodel.capacity.CapacityLedger.checkpoint` /
-    :meth:`~repro.netmodel.capacity.CapacityLedger.rollback`, so a
-    mid-commit :class:`~repro.util.errors.CapacityError` (an algorithm
-    overshooting the residuals it was handed) rejects the request and
-    leaves the ledger exactly as it was before the arrival -- no partial
-    allocation can leak into later requests.
+    Each request is one :class:`~repro.admission.transaction.Admission`,
+    so a mid-commit :class:`~repro.util.errors.CapacityError` (an algorithm
+    overshooting the residuals it was handed) releases the whole request,
+    primaries included, and rejects it -- no partial allocation can leak
+    into later requests.  A ``FallbackExhaustedError`` propagates.
 
     Randomized-rounding algorithms are not suitable for the committed
     stream (their violations would corrupt the shared ledger); pass a
@@ -247,64 +245,38 @@ def run_request_stream(
     # Hoisted across the stream: each primary location's N_l^+(v) is BFS'd
     # once, on first use, and every later request reuses the memoized set.
     neighborhoods = network.neighborhoods(settings.radius)
+    choose = redrawn(network.cloudlets, gen)
 
     report = BatchReport()
     for index in range(num_requests):
         request = make_request(settings, catalog, gen, name=f"req-{index}")
-        checkpoint = ledger.checkpoint()
         try:
-            primaries = random_primary_placement(network, request, rng=gen, ledger=ledger)
+            admission = Admission(ledger, request, choose)
         except InfeasibleError:
-            report.outcomes.append(
-                BatchRequestOutcome(
-                    name=request.name,
-                    admitted=False,
-                    reliability=0.0,
-                    expectation=request.expectation,
-                    expectation_met=False,
-                    backups=0,
-                )
+            result = None
+        else:
+            problem = AugmentationProblem.build(
+                network,
+                request,
+                admission.primaries,
+                radius=settings.radius,
+                residuals=ledger.residuals(),
+                neighborhoods=neighborhoods,
             )
-            continue
-
-        problem = AugmentationProblem.build(
-            network,
-            request,
-            primaries,
-            radius=settings.radius,
-            residuals=ledger.residuals(),
-            neighborhoods=neighborhoods,
-        )
-        result = algorithm.solve(problem, rng=gen)
-        try:
-            # commit the augmentation onto the shared ledger
-            for placement in result.solution.placements:
-                ledger.allocate(
-                    placement.bin, placement.demand, tag=f"{request.name}:backup"
-                )
-        except CapacityError:
-            # roll the whole request back -- primaries included -- so the
-            # ledger is exactly as it was before this arrival
-            ledger.rollback(checkpoint)
-            report.outcomes.append(
-                BatchRequestOutcome(
-                    name=request.name,
-                    admitted=False,
-                    reliability=0.0,
-                    expectation=request.expectation,
-                    expectation_met=False,
-                    backups=0,
-                )
-            )
-            continue
+            result = algorithm.solve(problem, rng=gen)
+            try:
+                admission.commit(result.solution.placements)
+            except CapacityError:
+                result = None  # the commit released the request, primaries included
+        admitted = result is not None
         report.outcomes.append(
             BatchRequestOutcome(
                 name=request.name,
-                admitted=True,
-                reliability=result.reliability,
+                admitted=admitted,
+                reliability=result.reliability if admitted else 0.0,
                 expectation=request.expectation,
-                expectation_met=result.expectation_met,
-                backups=result.num_backups,
+                expectation_met=admitted and result.expectation_met,
+                backups=result.num_backups if admitted else 0,
             )
         )
 

@@ -13,9 +13,9 @@ crashing solver tier degrades service instead of halting it.
 
 Three invariants the controller maintains:
 
-* **transactional commits** -- each arrival (primaries + backups) and each
-  repair is one ledger transaction bracketed by ``checkpoint()`` /
-  ``rollback()``; a mid-commit :class:`CapacityError` leaves the ledger
+* **transactional commits** -- each arrival is one
+  :class:`~repro.admission.transaction.Admission` and each repair one
+  ledger transaction; a mid-commit :class:`CapacityError` leaves the ledger
   exactly as before the request;
 * **no propagated solver failures** -- a fully exhausted fallback chain
   downgrades the request to a no-augmentation commit; the stream never
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.admission.admit import random_primary_placement
+from repro.admission.transaction import Admission, redrawn
 from repro.algorithms.base import AugmentationAlgorithm
 from repro.core.problem import AugmentationProblem
 from repro.experiments.settings import ExperimentSettings
@@ -128,90 +128,63 @@ class ResilientStreamController:
         self._pending_repairs: set[str] = set()
 
     # -- arrival handling -------------------------------------------------------
-    def _commit_request(self, request: Request, now: float) -> None:
-        checkpoint = self.ledger.checkpoint()
+    def _commit_request(self, request: Request, now: float) -> RequestOutcome:
+        """Admit one arrival; record its outcome and return it."""
         try:
-            primaries = random_primary_placement(
-                self.network, request, rng=self.rng, ledger=self.ledger
+            admission = Admission(
+                self.ledger, request, redrawn(self.network.cloudlets, self.rng)
             )
         except InfeasibleError:
-            self.metrics.on_outcome(
-                RequestOutcome(
-                    name=request.name,
-                    arrived_at=now,
-                    admitted=False,
-                    reliability=0.0,
-                    expectation=request.expectation,
-                    expectation_met=False,
-                    backups=0,
-                    fallback_tier=None,
-                    fallback_algorithm=None,
-                )
+            admission = None
+        else:
+            problem = AugmentationProblem.build(
+                self.network,
+                request,
+                admission.primaries,
+                radius=self.settings.radius,
+                residuals=self.ledger.residuals(),
+                neighborhoods=self.neighborhoods,
             )
-            return
-
-        problem = AugmentationProblem.build(
-            self.network,
-            request,
-            primaries,
-            radius=self.settings.radius,
-            residuals=self.ledger.residuals(),
-            neighborhoods=self.neighborhoods,
-        )
-        try:
-            result = self.algorithm.solve(problem, rng=self.rng)
-        except FallbackExhaustedError:
-            result = None  # degrade to a no-augmentation commit
-
-        instances = [
-            LiveInstance(
-                position=i,
-                cloudlet=v,
-                demand=func.demand,
-                reliability=func.reliability,
-                tag=f"primary:{request.name}#{i}",
+            try:
+                result = self.algorithm.solve(problem, rng=self.rng)
+            except FallbackExhaustedError:
+                result = None  # degrade to a no-augmentation commit
+            placements = result.solution.placements if result is not None else ()
+            try:
+                admission.commit(placements)
+            except CapacityError:
+                admission = None  # the commit released the request, primaries included
+        if admission is None:
+            outcome = RequestOutcome(
+                name=request.name,
+                arrived_at=now,
+                admitted=False,
+                reliability=0.0,
+                expectation=request.expectation,
+                expectation_met=False,
+                backups=0,
+                fallback_tier=None,
+                fallback_algorithm=None,
             )
-            for i, (func, v) in enumerate(zip(request.chain, primaries))
-        ]
-        placements = result.solution.placements if result is not None else ()
-        try:
-            for placement in placements:
-                tag = f"backup:{request.name}#{placement.position}.{placement.k}"
-                self.ledger.allocate(placement.bin, placement.demand, tag=tag)
-                func = request.chain[placement.position]
-                instances.append(
-                    LiveInstance(
-                        position=placement.position,
-                        cloudlet=placement.bin,
-                        demand=placement.demand,
-                        reliability=func.reliability,
-                        tag=tag,
-                    )
-                )
-        except CapacityError:
-            # roll the *whole request* back -- primaries included
-            self.ledger.rollback(checkpoint)
-            self.metrics.on_outcome(
-                RequestOutcome(
-                    name=request.name,
-                    arrived_at=now,
-                    admitted=False,
-                    reliability=0.0,
-                    expectation=request.expectation,
-                    expectation_met=False,
-                    backups=0,
-                    fallback_tier=None,
-                    fallback_algorithm=None,
-                )
-            )
-            return
+            self.metrics.on_outcome(outcome)
+            return outcome
 
+        # The allocations are the primaries in chain order, then the backups.
+        positions = [*range(request.chain.length), *(p.position for p in placements)]
         chain = CommittedChain(
             request=request,
-            instances=instances,
-            anchors=tuple(primaries),
+            instances=[
+                LiveInstance(
+                    position=i,
+                    cloudlet=alloc.node,
+                    demand=alloc.amount,
+                    reliability=request.chain[i].reliability,
+                    tag=alloc.tag,
+                )
+                for i, alloc in zip(positions, admission.allocations)
+            ],
+            anchors=admission.primaries,
             committed_at=now,
-            met_at_commit=False,
         )
         reliability = chain.live_reliability()
         slo_ok = request.meets_expectation(reliability)
@@ -222,20 +195,20 @@ class ResilientStreamController:
         serving = meta.get(
             "fallback_algorithm", result.algorithm if result is not None else "none"
         )
-        self.metrics.on_outcome(
-            RequestOutcome(
-                name=request.name,
-                arrived_at=now,
-                admitted=True,
-                reliability=reliability,
-                expectation=request.expectation,
-                expectation_met=slo_ok,
-                backups=len(placements),
-                fallback_tier=meta.get("fallback_tier"),
-                fallback_algorithm=serving,
-            )
+        outcome = RequestOutcome(
+            name=request.name,
+            arrived_at=now,
+            admitted=True,
+            reliability=reliability,
+            expectation=request.expectation,
+            expectation_met=slo_ok,
+            backups=len(placements),
+            fallback_tier=meta.get("fallback_tier"),
+            fallback_algorithm=serving,
         )
+        self.metrics.on_outcome(outcome)
         self.metrics.on_commit(request.name, now, slo_ok)
+        return outcome
 
     # -- repair handling --------------------------------------------------------
     def _schedule_repair(self, chain: CommittedChain, now: float, delay: float) -> None:

@@ -2,21 +2,20 @@
 
 The streaming service coalesces the arrivals of one admission window into a
 *batch* and admits it in **waves**, every member through one path: primary
-intake (pure-RNG placement draws, fit-checked against the live ledger, all
-or nothing), one residual snapshot per wave, one
+intake (an :class:`~repro.admission.transaction.Admission` on pure-RNG
+placement draws, all or nothing), one residual snapshot per wave, one
 :class:`~repro.core.problem.AugmentationProblem` per member with its items
 generated on that snapshot, the cost-cap guard, and **one**
 :meth:`~repro.algorithms.heuristic.MatchingHeuristic.solve_wave` call per
-wave, finished per member by the expectation trim.  Every wave solves on
-the ``"warm"`` backend.  Under ``mode="batched"`` a wave holds the
-requests whose backup neighborhoods are disjoint from those of every
-request scanned before them; ``mode="sequential"`` (the differential
-reference) uses waves of one member.
+wave, finished per member by the expectation trim and the backup commit.
+Every wave solves on the ``"warm"`` backend.  Under ``mode="batched"`` a
+wave holds the requests whose backup neighborhoods are disjoint from those
+of every request scanned before them; ``mode="sequential"`` (the
+differential reference) uses waves of one member.
 
 In both modes the snapshot holds only the wave's *domain* -- its members'
-``l``-hop cloudlets, in ledger order -- so the snapshot, the scratch
-ledger, the matching rows and the item candidates all scale with the
-wave, not with the network.
+``l``-hop cloudlets, in ledger order -- so the snapshot, the matching rows
+and the item candidates all scale with the wave, not with the network.
 
 Bit-identity contract
 ---------------------
@@ -51,17 +50,17 @@ sequential reference model (``tests/service_reference.py``).  The argument:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.admission.transaction import Admission, drawn
 from repro.algorithms.heuristic import MatchingHeuristic
 from repro.core.items import ItemGenerationConfig, generate_items_with_plan
 from repro.core.problem import AugmentationProblem
 from repro.core.solution import Placement, trim_to_expectation
 from repro.matching.incremental import edge_cost_sum
-from repro.netmodel.capacity import Allocation
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request
-from repro.util.errors import CapacityError, ValidationError
+from repro.util.errors import CapacityError, InfeasibleError, ValidationError
 from repro.util.rng import RandomState, as_rng
 
 #: Fixed dummy-cost base of every service solve (``B = 2^24``).  Must
@@ -121,7 +120,7 @@ class _Member:
     request: Request
     draw: tuple[int, ...]
     domain: frozenset[int] = frozenset()
-    allocations: list[Allocation] = field(default_factory=list)
+    admission: Admission | None = None
     record: AdmissionRecord | None = None
 
 
@@ -199,7 +198,7 @@ class BatchAdmissionEngine:
         )
         #: Position of every ledger node, the order domain snapshots keep.
         self._ledger_rank = {v: i for i, v in enumerate(ledger.nodes)}
-        self._live: dict[str, list[Allocation]] = {}
+        self._live: dict[str, Admission] = {}
         self.stats: dict[str, int] = {
             "batches": 0,
             "waves": 0,
@@ -261,11 +260,11 @@ class BatchAdmissionEngine:
 
     def depart(self, name: str) -> float:
         """Release every allocation of a previously admitted request."""
-        allocations = self._live.pop(name, None)
-        if allocations is None:
+        admission = self._live.pop(name, None)
+        if admission is None:
             raise ValidationError(f"no live request named {name!r}")
         self.stats["departed"] += 1
-        return self.ledger.release_many(allocations)
+        return admission.abort()
 
     @property
     def live_requests(self) -> int:
@@ -299,9 +298,18 @@ class BatchAdmissionEngine:
     # -- the admission path -----------------------------------------------------
     def _admit_wave(self, wave: list[_Member]) -> None:
         """Admit one wave: intake, one snapshot, one solve, per-member commit."""
+        live: list[_Member] = []
         for member in wave:
-            self._intake_primaries(member)
-        live = [m for m in wave if m.record is None]
+            # No redraw: the drawn vector is the placement or the request is
+            # rejected (the convention that keeps the RNG stream mode-invariant).
+            try:
+                member.admission = Admission(self.ledger, member.request, drawn(member.draw))
+            except InfeasibleError:
+                member.record = AdmissionRecord.rejected(
+                    member.request.name, "primary-infeasible"
+                )
+            else:
+                live.append(member)
         if not live:
             return
         # Only the domain can carry an edge; ledger order keeps every
@@ -322,7 +330,10 @@ class BatchAdmissionEngine:
                 self.neighborhoods, items, plan,
             )
             if edge_cost_sum(problem) >= SERVICE_COST_CAP:
-                self._reject_after_intake(member, "cost-cap")
+                # Released by id: later members' allocations stay, and each
+                # touched node is byte-identical to never having allocated them.
+                member.admission.abort()
+                member.record = AdmissionRecord.rejected(member.request.name, "cost-cap")
                 continue
             solving.append(member)
             problems.append(problem)
@@ -330,67 +341,20 @@ class BatchAdmissionEngine:
         for member, problem, outcome in zip(solving, problems, outcomes):
             solution = trim_to_expectation(problem, outcome.solution)
             self.stats["rounds"] += outcome.rounds
-            self._commit_backups(
-                member, solution.placements, solution.reliability(problem),
-                outcome.rounds,
+            name = member.request.name
+            try:
+                member.admission.commit(solution.placements)
+            except CapacityError:  # pragma: no cover - snapshot guarantees the fit
+                member.record = AdmissionRecord.rejected(name, "capacity-race")
+                continue
+            self._live[name] = member.admission
+            reliability = solution.reliability(problem)
+            member.record = AdmissionRecord(
+                name=name,
+                admitted=True,
+                primaries=member.draw,
+                placements=solution.placements,
+                reliability=reliability,
+                expectation_met=member.request.meets_expectation(reliability),
+                rounds=outcome.rounds,
             )
-
-    def _intake_primaries(self, member: _Member) -> None:
-        """Fit-check and allocate the drawn primaries; reject on any miss.
-
-        No redraw: the drawn vector is the placement or the request is
-        rejected (the convention that keeps the RNG stream mode-invariant).
-        """
-        checkpoint = self.ledger.checkpoint()
-        allocations: list[Allocation] = []
-        for i, func in enumerate(member.request.chain):
-            v = member.draw[i]
-            if not self.ledger.fits(v, func.demand):
-                self.ledger.rollback(checkpoint)
-                member.record = AdmissionRecord.rejected(
-                    member.request.name, "primary-infeasible"
-                )
-                return
-            allocations.append(
-                self.ledger.allocate(
-                    v, func.demand, tag=f"primary:{member.request.name}#{i}"
-                )
-            )
-        member.allocations = allocations
-
-    def _reject_after_intake(self, member: _Member, reason: str) -> None:
-        """Reject a member whose primaries are already in the ledger,
-        releasing them by id: later members' allocations stay, and each
-        touched node is byte-identical to never having allocated them."""
-        self.ledger.release_many(member.allocations)
-        member.allocations = []
-        member.record = AdmissionRecord.rejected(member.request.name, reason)
-
-    def _commit_backups(
-        self,
-        member: _Member,
-        placements: tuple[Placement, ...],
-        reliability: float,
-        rounds: int,
-    ) -> None:
-        name = member.request.name
-        try:
-            for p in placements:
-                member.allocations.append(
-                    self.ledger.allocate(
-                        p.bin, p.demand, tag=f"backup:{name}#{p.position}.{p.k}"
-                    )
-                )
-        except CapacityError:  # pragma: no cover - snapshot guarantees the fit
-            self._reject_after_intake(member, "capacity-race")
-            return
-        self._live[name] = member.allocations
-        member.record = AdmissionRecord(
-            name=name,
-            admitted=True,
-            primaries=member.draw,
-            placements=placements,
-            reliability=reliability,
-            expectation_met=member.request.meets_expectation(reliability),
-            rounds=rounds,
-        )

@@ -30,5 +30,9 @@ without a runtime switch in the library:
   :class:`repro.algorithms.ilp_exact.ILPAlgorithm` solves;
 * :mod:`tests.reference.branch_and_bound` -- a pure-Python best-first
   LP-based branch-and-bound over 0/1 assignment models, the second exact
-  solver behind that oracle.
+  solver behind that oracle;
+* :mod:`tests.reference.admission` -- the capacity-checked branch of
+  ``random_primary_placement`` and ``admit_request``'s own re-planning
+  loop, the references for the ``redrawn`` and ``planned`` policies of
+  :class:`repro.admission.transaction.Admission`.
 """

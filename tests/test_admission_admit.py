@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.admission.admit import admit_request, random_primary_placement
+from repro.admission.transaction import Admission, redrawn
 from repro.netmodel.capacity import CapacityLedger
 from repro.netmodel.graph import MECNetwork
 from repro.netmodel.vnf import Request, ServiceFunctionChain, VNFType
@@ -80,19 +81,20 @@ class TestRandomPrimaryPlacement:
         b = random_primary_placement(ring_network, request, rng=9)
         assert a == b
 
+    # The capacity-checked draw is the transaction's ``redrawn`` policy.
     def test_ledger_constrained(self):
         network = MECNetwork(line_topology(3), {0: 450.0, 1: 450.0, 2: 450.0})
         request = _request([(400.0, 0.9)] * 3)
         ledger = CapacityLedger(network.capacities)
-        placement = random_primary_placement(network, request, rng=3, ledger=ledger)
-        assert sorted(placement) == [0, 1, 2]  # forced to spread
+        admission = Admission(ledger, request, redrawn(network.cloudlets, 3))
+        assert sorted(admission.primaries) == [0, 1, 2]  # forced to spread
 
     def test_ledger_infeasible_rolls_back(self):
         network = MECNetwork(line_topology(2), {0: 450.0, 1: 450.0})
         request = _request([(400.0, 0.9)] * 3)
         ledger = CapacityLedger(network.capacities)
         with pytest.raises(InfeasibleError):
-            random_primary_placement(network, request, rng=3, ledger=ledger)
+            Admission(ledger, request, redrawn(network.cloudlets, 3))
         assert all(ledger.used(v) == 0.0 for v in ledger.nodes)
 
     def test_unconstrained_ignores_capacity(self):
