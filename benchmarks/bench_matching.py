@@ -188,9 +188,10 @@ def capture_round_graphs(problem):
 
     Wraps :meth:`RoundState.build_edges` for the duration of a single
     dense-backend solve (restored in ``finally``), snapshotting each
-    round's ``(rows, cols, edge_rows, edge_cols, edge_costs, edge_idx)``
-    before the engine consumes it (``edge_idx`` is the round's universe
-    positions, which the delta path filters its CSR layout from).
+    round before the engine consumes it in both representations: the
+    dense backends' ``(rows, cols, edge_rows, edge_cols, edge_costs)``
+    and, from :meth:`RoundState.build_csr` on the same state, the warm
+    solver's ``(rows, cols, indptr, edge_cols, edge_costs)``.
     ``stop_at_expectation=False`` packs until no edge remains -- the
     resource-exhaustion regime whose round count Figure 3's
     scarce-capacity points hit.
@@ -202,7 +203,7 @@ def capture_round_graphs(problem):
         rows, cols, edge_rows, edge_cols, edge_costs = original(self)
         captured.append(
             (list(rows), cols.copy(), edge_rows.copy(), edge_cols.copy(),
-             list(edge_costs), self.last_edge_idx.copy())
+             list(edge_costs), self.build_csr())
         )
         return rows, cols, edge_rows, edge_cols, edge_costs
 
@@ -231,23 +232,13 @@ def _replay_warm(problem, sequence, delta=False):
 
     Duals are carried across rounds; with ``delta=True`` the persistent
     matching is carried too
-    (:meth:`~repro.matching.warmstart.DualReusingSolver.solve_round_delta`
-    with each round's universe ``edge_idx``).  The solver is returned next
-    to the matchings so callers can read its ``stats`` counters.
+    (:meth:`~repro.matching.warmstart.DualReusingSolver.solve_round_delta`).
+    Each round is the captured CSR form.  The solver is returned next to
+    the matchings so callers can read its ``stats`` counters.
     """
     solver = warm_solver_for(problem, problem.ledger())
-    if delta:
-        matchings = [
-            solver.solve_round_delta(
-                rows, cols, edge_rows, edge_cols, edge_costs, edge_idx=edge_idx
-            )
-            for rows, cols, edge_rows, edge_cols, edge_costs, edge_idx in sequence
-        ]
-    else:
-        matchings = [
-            solver.solve_round(rows, cols, edge_rows, edge_cols, edge_costs)
-            for rows, cols, edge_rows, edge_cols, edge_costs, _ in sequence
-        ]
+    solve = solver.solve_round_delta if delta else solver.solve_round
+    matchings = [solve(*graph[5]) for graph in sequence]
     return matchings, solver
 
 
@@ -263,8 +254,8 @@ def _matching_summary(matchings):
 def run_replay(shapes=FIG3_SHAPES, reps=REPLAY_REPS):
     """Capture, identity-check, then time each backend over the sequence.
 
-    ``warm`` times the production path -- the delta engine with universe
-    ``edge_idx`` -- even though the consume workload orphans every
+    ``warm`` times the production path -- the delta engine on the CSR
+    rounds -- even though the consume workload orphans every
     real-matched row each round (matched items are consumed), so the delta
     keeps only dummy-matched rows here.
     """

@@ -72,6 +72,11 @@ class AdmissionDAG:
         Optional precomputed output of :func:`most_reliable_path_weights`;
         when omitted, transport is treated as perfectly reliable (the
         paper's instance-only reliability model).
+    start_from:
+        First chain position to plan.  A re-plan of a suffix builds and
+        checks only the layers ``start_from..L-1``: the positions before it
+        are placed already, and their demands need not fit the residuals
+        left after placing them.  The earlier layers stay empty.
     """
 
     def __init__(
@@ -80,12 +85,15 @@ class AdmissionDAG:
         request: Request,
         residuals: Mapping[int, float],
         transport_weights: Mapping[int, Mapping[int, float]] | None = None,
+        start_from: int = 0,
     ):
         self._network = network
         self._request = request
         self._transport = transport_weights
-        self._layers: list[list[int]] = []
-        for i, func in enumerate(request.chain):
+        self._start = start_from
+        self._layers: list[list[int]] = [[] for _ in range(start_from)]
+        for i in range(start_from, request.chain.length):
+            func = request.chain[i]
             layer = [
                 v
                 for v in network.cloudlets
@@ -128,7 +136,18 @@ class AdmissionDAG:
         -------
         list[int]
             One cloudlet per layer in ``start_from..L-1``.
+
+        Raises
+        ------
+        ValidationError
+            If ``start_from`` precedes the first layer the DAG was built
+            for.
         """
+        if start_from < self._start:
+            raise ValidationError(
+                f"layers before position {self._start} were not built "
+                f"(start_from={start_from})"
+            )
         layers = self._layers[start_from:]
         if not layers:
             return []

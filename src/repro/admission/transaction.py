@@ -111,8 +111,9 @@ def planned(
     """The maximum-reliability DAG plan (Section 4.1), re-planned as it fills.
 
     When a planned cloudlet no longer fits, the suffix is re-planned on the
-    current residuals from the last placed cloudlet; a fresh plan whose
-    first cloudlet does not fit is a miss.
+    current residuals from the last placed cloudlet, over the layers of
+    the unplaced positions only; a fresh plan whose first cloudlet does
+    not fit is a miss.
     """
     plan: list[int] = []  # the current plan's cloudlets not yet placed
 
@@ -120,7 +121,9 @@ def planned(
         i = len(placed)
         demand = request.chain[i].demand
         if not (placed and plan and ledger.fits(plan[0], demand)):
-            dag = AdmissionDAG(network, request, ledger.residuals(), transport)
+            dag = AdmissionDAG(
+                network, request, ledger.residuals(), transport, start_from=i
+            )
             anchor = placed[-1] if placed else None
             plan[:] = dag.shortest_placement(start_from=i, anchor=anchor)
             if not ledger.fits(plan[0], demand):

@@ -324,7 +324,10 @@ class MatchingHeuristic(AugmentationAlgorithm):
             if not state.active:
                 break
 
-            rows, cols, edge_rows, edge_cols, edge_costs = state.build_edges()
+            if warm is not None:
+                rows, cols, indptr, edge_cols, edge_costs = state.build_csr()
+            else:
+                rows, cols, edge_rows, edge_cols, edge_costs = state.build_edges()
             # A problem with no live edge can make no further progress (its
             # solo loop would break here): retire it, and rebuild so the
             # graph covers exactly the problems still solving.
@@ -338,15 +341,13 @@ class MatchingHeuristic(AugmentationAlgorithm):
             if warm is not None:
                 if warm_delta:
                     # Delta re-solve: keep still-valid pairs from the last
-                    # round, re-augment only orphaned rows; edge_idx routes
-                    # CSR construction through the universe presort.
+                    # round, re-augment only orphaned rows.
                     matching = warm.solve_round_delta(
-                        rows, cols, edge_rows, edge_cols, edge_costs,
-                        edge_idx=state.last_edge_idx,
+                        rows, cols, indptr, edge_cols, edge_costs
                     )
                 else:
                     matching = warm.solve_round(
-                        rows, cols, edge_rows, edge_cols, edge_costs
+                        rows, cols, indptr, edge_cols, edge_costs
                     )
             else:
                 matching = [

@@ -124,9 +124,11 @@ def run_joint_comparison(
     Both sides start from the same snapshot: all ``num_requests`` requests'
     primaries placed (capacity-checked) against full capacity, leaving a
     shared residual map.  The sequential side then augments request by
-    request on a live ledger (earlier requests starve later ones); the
-    joint side solves :func:`repro.solvers.multi.solve_joint` over the
-    same residuals at once.
+    request on a live ledger (earlier requests starve later ones), each
+    request's backups committed all or nothing: an algorithm that
+    overshoots the residuals it was handed gets that request scored
+    primaries-only.  The joint side solves
+    :func:`repro.solvers.multi.solve_joint` over the same residuals at once.
     """
     from repro.solvers.multi import solve_joint
 
@@ -181,10 +183,22 @@ def run_joint_comparison(
             neighborhoods=neighborhoods,
         )
         result = algorithm.solve(live, rng=gen)
-        for placement in result.solution.placements:
-            seq_ledger.allocate(placement.bin, placement.demand, tag="seq")
-        seq_met += int(result.expectation_met)
-        seq_rel_sum += result.reliability
+        backups = []
+        try:
+            for placement in result.solution.placements:
+                backups.append(seq_ledger.allocate(placement.bin, placement.demand, tag="seq"))
+        except CapacityError:
+            # An overshooting algorithm: release the request's backups by id
+            # and score it primaries-only, as the joint side scores a
+            # request it gives no backup.
+            seq_ledger.release_many(backups)
+            reliability = AugmentationSolution.empty().reliability(live)
+            met = live.request.meets_expectation(reliability)
+        else:
+            reliability = result.reliability
+            met = result.expectation_met
+        seq_met += int(met)
+        seq_rel_sum += reliability
 
     # -- joint side -----------------------------------------------------------------
     joint = solve_joint(problems, residuals=shared_residuals)

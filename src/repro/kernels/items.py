@@ -107,8 +107,9 @@ class ItemPlan:
     ``bins``, with cost ``costs[k - 1]`` for the ``k``-th.  The flat
     parallel arrays -- in the exact item-major/bin order
     :class:`repro.matching.incremental._ProblemStatics` derives from
-    ``problem.items`` -- materialise on first access (typically the first
-    solve), so problem *construction* never pays for them.
+    ``problem.items`` -- materialise on first access (the first solve on
+    the dense or sparse backend), so problem *construction* never pays for
+    them; the warm backend reads the segments themselves.
     """
 
     __slots__ = ("_segments", "_arrays")
@@ -119,6 +120,11 @@ class ItemPlan:
     ):
         self._segments = segments
         self._arrays: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def segments(self) -> list[tuple[int, int, tuple, tuple[float, ...], float]]:
+        """The ``(base, keep, bins, costs, demand)`` segments, in item order."""
+        return self._segments
 
     def _materialize(self) -> tuple[np.ndarray, ...]:
         arrays = self._arrays

@@ -24,15 +24,20 @@ provides:
   (:meth:`~repro.matching.warmstart.DualReusingSolver.solve_round_delta`);
   both entry points take Algorithm 2's shrinking rounds only and reject a
   grown round with ``ValidationError``.  It comes with
-  :class:`~repro.matching.warmstart.WarmStats` counters, a
-  :class:`~repro.matching.warmstart.UniverseIndex` CSR presort, and the
+  :class:`~repro.matching.warmstart.WarmStats` counters and the
   ``REPRO_WARM_DELTA`` switch
-  (:func:`~repro.matching.warmstart.warm_delta_enabled`);
+  (:func:`~repro.matching.warmstart.warm_delta_enabled`).  A round is a
+  row-major CSR of plain lists
+  (:meth:`~repro.matching.incremental.RoundState.build_csr`), and
+  everything after the round graph's build runs on plain lists;
 * :class:`~repro.matching.incremental.RoundState` -- the incremental round
   engine for Algorithm 2's hot path: static edge universe, delta-maintained
   residuals committed through its own ``allocate``, bit-identical to
-  rebuilding ``G_l`` from a ledger every round; it also holds a *wave* of
-  problems with disjoint cloudlets on one residual snapshot.
+  rebuilding ``G_l`` from a ledger every round, in each backend's own
+  representation (per-node item lists pruned in place for ``"warm"``, a
+  flattened NumPy universe for the dense and sparse backends, each built
+  on first use); it also holds a *wave* of problems with disjoint
+  cloudlets on one residual snapshot.
 
 The ``"auto"`` backend and its dense/sparse cutoff live in
 :mod:`repro.matching.mincost`.  The callers pick the backend: the
@@ -54,7 +59,6 @@ from repro.matching.mincost import (
 from repro.matching.sparse import sparse_min_cost_max_matching
 from repro.matching.warmstart import (
     DualReusingSolver,
-    UniverseIndex,
     WarmStats,
     warm_delta_enabled,
     warm_min_cost_max_matching,
@@ -72,7 +76,6 @@ __all__ = [
     "resolve_backend",
     "select_backend",
     "sparse_min_cost_max_matching",
-    "UniverseIndex",
     "warm_delta_enabled",
     "warm_min_cost_max_matching",
     "warm_solver_for",

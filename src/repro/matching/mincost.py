@@ -103,6 +103,18 @@ def _validate_big(big: float, finite_sum: float) -> None:
         )
 
 
+def _raise_first_bad_edge(
+    n_rows: int, n_cols: int, edges: Mapping[tuple[int, int], float]
+) -> None:
+    """Raise :class:`ValidationError` for the first edge outside the graph
+    or with a non-finite cost, in the mapping's order."""
+    for (r, c), cost in edges.items():
+        if not (0 <= r < n_rows and 0 <= c < n_cols):
+            raise ValidationError(f"edge ({r}, {c}) outside a {n_rows}x{n_cols} graph")
+        if not math.isfinite(cost):
+            raise ValidationError(f"edge ({r}, {c}) has non-finite cost {cost}")
+
+
 def _padded_matrix(
     n_rows: int, n_cols: int, edges: Mapping[tuple[int, int], float]
 ) -> tuple[np.ndarray, float]:
@@ -166,17 +178,16 @@ def min_cost_max_matching(
     backend = select_backend(backend, n_rows, n_cols)
 
     if backend in ("sparse", "warm"):
-        rows_a = np.empty(len(edges), dtype=np.intp)
-        cols_a = np.empty(len(edges), dtype=np.intp)
-        costs_a = np.empty(len(edges), dtype=np.float64)
-        for i, ((r, c), cost) in enumerate(edges.items()):
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValidationError(
-                    f"edge ({r}, {c}) outside a {n_rows}x{n_cols} graph"
-                )
-            if not math.isfinite(cost):
-                raise ValidationError(f"edge ({r}, {c}) has non-finite cost {cost}")
-            rows_a[i], cols_a[i], costs_a[i] = r, c, cost
+        keys = list(edges)
+        rows = [r for r, _ in keys]
+        cols = [c for _, c in keys]
+        costs = list(edges.values())
+        if not (
+            0 <= min(rows) and max(rows) < n_rows
+            and 0 <= min(cols) and max(cols) < n_cols
+            and all(map(math.isfinite, costs))
+        ):
+            _raise_first_bad_edge(n_rows, n_cols, edges)
         solve = (
             sparse_min_cost_max_matching
             if backend == "sparse"
@@ -184,7 +195,7 @@ def min_cost_max_matching(
         )
         return [
             MatchEdge(r, c, cost)
-            for r, c, cost in solve(n_rows, n_cols, rows_a, cols_a, costs_a)
+            for r, c, cost in solve(n_rows, n_cols, rows, cols, costs)
         ]
 
     matrix, _ = _padded_matrix(n_rows, n_cols, edges)

@@ -13,7 +13,7 @@ matrix) with two layers of cross-round state:
 
 * **Persistent duals** -- ``u`` is keyed by **global cloudlet id** and
   ``v`` by **global item index**, so the round-local row/column compaction
-  of :meth:`RoundState.build_edges` can shrink freely between rounds.
+  of :meth:`RoundState.build_csr` can shrink freely between rounds.
   Because Algorithm 2 only ever *removes* edges within a solve (residuals
   decrease monotonically, matched items leave), dual feasibility
   ``c_ij - u_i - v_j >= 0`` for round ``l``'s edges implies feasibility
@@ -47,17 +47,23 @@ cannot be repaired that cheaply: the round raises
 any persistent state is written, so the solver is left exactly as it
 was.
 
-The sweep that augments the orphans runs a vectorised *prepass* computing
-every orphan row's cheapest reduced-cost column in one shot; a row whose
-cached candidate is still clean (no popped column's ``v`` changed
-underneath it -- ``v`` only ever falls, so other candidates can only have
-got *worse*) and still free is matched in O(1) -- the "dual-tightness
-hit".  Rows that miss run a full Dijkstra whose frontier is a
-lazy-deletion binary heap, so a pop costs ``O(log f)`` instead of the
-``O(width)`` full-array ``argmin`` of the original sweep.  Everything
-after the prepass runs on plain Python lists, converted once per round
-and written back at its end: Algorithm 2's round rows carry about ten
-edges each, too few for a NumPy call per relaxed row to pay for itself.
+A round arrives as a row-major CSR of plain Python lists: ``rows`` (global
+cloudlet ids, ledger order), ``cols`` (global item indices), ``indptr``
+and, per edge, its round-local column (ascending within each row) and its
+cost -- the layout :meth:`RoundState.build_csr` emits in one pass over its
+per-node item lists.  Everything the round does runs on those lists, with
+no NumPy call: validation, the reconciliation, one pass per edge that
+both checks dual feasibility (the free-row cut) and caches every orphan
+row's cheapest reduced-cost column (the *prepass*), the sweep, the
+write-back and the emit.  Algorithm 2's rounds carry a few edges per row,
+too few for a NumPy call per round to pay for itself.
+
+The sweep matches a row whose cached candidate is still clean (no popped
+column's ``v`` changed underneath it -- ``v`` only ever falls, so other
+candidates can only have got *worse*) and still free in O(1) -- the
+"dual-tightness hit".  Rows that miss run a full Dijkstra whose frontier
+is a lazy-deletion binary heap, so a pop costs ``O(log f)`` instead of
+the ``O(width)`` full-array ``argmin`` of the original sweep.
 
 The heap sweep is bit-identical to that original ``argmin`` scan, which
 ``tests/reference/scan.py`` keeps as the differential reference: the
@@ -68,14 +74,6 @@ first-index rule, and pushes mirror the scan's strict-``<`` relaxation so
 the popped entry's predecessor is always the scan's.
 ``tests/test_matching_warm_delta.py`` asserts the equivalence
 pair-for-pair on random round sequences, tied costs included.
-
-A :class:`UniverseIndex` (built once per problem/node-order by
-:func:`repro.matching.incremental.warm_solver_for`) presorts the *static
-edge universe* into CSR order; a delta round that passes ``edge_idx`` (the
-universe positions of its live edges, which ``RoundState.build_edges``
-already computes) derives its CSR layout by an O(E) boolean filter of the
-presort instead of an O(E log E) per-round ``lexsort`` -- the single
-largest constant-factor win on the replay workload.
 
 Exactness contract: every round returns a maximum-cardinality matching of
 minimum total cost (warm duals and kept pairs change the *path* to the
@@ -89,7 +87,10 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from heapq import heappop, heappush
+from itertools import islice
+from operator import gt, lt
 from typing import Sequence
 
 import numpy as np
@@ -179,69 +180,15 @@ class WarmStats:
         return f"WarmStats({inner})"
 
 
-class UniverseIndex:
-    """CSR presort of a problem's static edge universe for one node order.
-
-    ``order`` sorts the universe by ``(ledger rank of node, item index)``.
-    Any round whose rows are the positive-residual nodes *in ledger order*
-    and whose columns are the alive items *in index order* (exactly what
-    both round engines produce) can therefore derive its row-major /
-    ascending-column CSR layout by filtering ``order`` with the round's
-    live-edge mask -- bit-identical to ``np.lexsort((ecol, erow))`` on the
-    round-local arrays, because the universe keys are unique per
-    ``(node, item)`` pair and both local indexings are monotone in the
-    global ones.
-    """
-
-    __slots__ = ("edge_node", "edge_item", "edge_cost", "order")
-
-    def __init__(
-        self,
-        edge_node: np.ndarray,
-        edge_item: np.ndarray,
-        edge_cost: np.ndarray,
-        node_order: Sequence[int],
-    ) -> None:
-        self.edge_node = np.asarray(edge_node, dtype=np.intp)
-        self.edge_item = np.asarray(edge_item, dtype=np.intp)
-        self.edge_cost = np.asarray(edge_cost, dtype=np.float64)
-        if not (
-            self.edge_node.size == self.edge_item.size == self.edge_cost.size
-        ):
-            raise ValidationError(
-                "universe arrays must be parallel: "
-                f"{self.edge_node.size} nodes, {self.edge_item.size} items, "
-                f"{self.edge_cost.size} costs"
-            )
-        nodes = np.asarray(list(node_order), dtype=np.intp)
-        if nodes.size and int(nodes.min()) < 0:
-            raise ValidationError("negative cloudlet id in node_order")
-        if self.edge_node.size and int(self.edge_node.min()) < 0:
-            raise ValidationError("negative cloudlet id in edge_node")
-        hi = 0
-        if nodes.size:
-            hi = max(hi, int(nodes.max()) + 1)
-        if self.edge_node.size:
-            hi = max(hi, int(self.edge_node.max()) + 1)
-        # Nodes outside the ledger order sort last (rank = hi); their edges
-        # can never be live in a round, so the tail order is irrelevant.
-        rank = np.full(hi, hi, dtype=np.intp)
-        rank[nodes] = np.arange(nodes.size, dtype=np.intp)
-        self.order = np.lexsort((self.edge_item, rank[self.edge_node]))
-
-    @property
-    def n_edges(self) -> int:
-        """Number of edges in the universe."""
-        return int(self.edge_cost.size)
-
-
 class DualReusingSolver:
     """Warm-started min-cost maximum matching over a shrinking round sequence.
 
     Parameters
     ----------
     node_space:
-        Exclusive upper bound on global cloudlet ids (row dual vector size).
+        Exclusive upper bound on global cloudlet ids.  Row duals and the
+        persisted matching are keyed by the ids the rounds bring, so the
+        state grows with the nodes seen, not with this bound.
     item_space:
         Number of items in the problem (column dual vector size).
     universe_cost_sum:
@@ -250,10 +197,6 @@ class DualReusingSolver:
         the real cost of any round's matching and must not change between
         rounds (a shrinking ``B`` could break dual feasibility on the
         dummy edges), so it is derived from the universe, not per round.
-    universe:
-        Optional :class:`UniverseIndex` enabling the ``edge_idx`` fast path
-        of :meth:`solve_round_delta` (CSR by presort filtering instead of a
-        per-round ``lexsort``).
 
     Notes
     -----
@@ -273,7 +216,6 @@ class DualReusingSolver:
         "_big",
         "_u",
         "_v",
-        "_universe",
         "_node_space",
         "_item_space",
         "_g_col4row",
@@ -286,216 +228,33 @@ class DualReusingSolver:
         node_space: int,
         item_space: int,
         universe_cost_sum: float,
-        universe: UniverseIndex | None = None,
     ) -> None:
         if node_space < 0 or item_space < 0:
             raise ValidationError(
                 f"negative dual space: {node_space} nodes, {item_space} items"
             )
         big = float(universe_cost_sum) + 1.0
-        if not np.isfinite(big) or big <= universe_cost_sum:
+        if not math.isfinite(big) or big <= universe_cost_sum:
             raise ValidationError(
                 "universe cost sum too large for a dominating dummy cost "
                 f"(sum={universe_cost_sum!r})"
             )
-        if universe is not None:
-            if universe.edge_node.size and int(universe.edge_node.max()) >= node_space:
-                raise ValidationError(
-                    f"universe node id {int(universe.edge_node.max())} outside "
-                    f"node space {node_space}"
-                )
-            if universe.edge_item.size and int(universe.edge_item.max()) >= item_space:
-                raise ValidationError(
-                    f"universe item index {int(universe.edge_item.max())} outside "
-                    f"item space {item_space}"
-                )
         self._big = big
-        self._universe = universe
         self._node_space = node_space
         self._item_space = item_space
         self.stats = WarmStats()
-        self._u = np.zeros(node_space, dtype=np.float64)
-        self._v = np.zeros(item_space, dtype=np.float64)
-        self._g_col4row = np.full(node_space, -1, dtype=np.intp)
-        self._g_row4col = np.full(item_space, -1, dtype=np.intp)
-
-    # -- round construction ---------------------------------------------------
-    def _build_round(
-        self,
-        rows: Sequence[int],
-        cols: np.ndarray,
-        edge_rows: np.ndarray,
-        edge_cols: np.ndarray,
-        edge_costs: Sequence[float],
-        edge_idx: np.ndarray | None = None,
-    ):
-        """Validate one round's inputs and build its CSR + local duals.
-
-        Returns ``None`` for an empty round, else the tuple
-        ``(n, m, rows_idx, cols_idx, csr_erow, csr_cols, csr_costs, indptr,
-        flat_keys, u, v_local)`` where ``flat_keys = csr_erow * m + csr_cols``
-        is strictly ascending (the CSR layout sorts by ``(row, col)`` and
-        pairs are unique), enabling batched membership tests.
-        """
-        n, m = len(rows), len(cols)
-        costs = np.asarray(edge_costs, dtype=np.float64)
-        if n == 0 or m == 0 or costs.size == 0:
-            return None
-        if costs.min() < 0.0:
-            raise ValidationError(
-                "warm-started rounds require non-negative costs "
-                "(shift them, as the cold entry point does)"
-            )
-        erow = np.asarray(edge_rows, dtype=np.intp)
-        ecol = np.asarray(edge_cols, dtype=np.intp)
-        if erow.size != costs.size or ecol.size != costs.size:
-            raise ValidationError(
-                "edge arrays must be parallel: "
-                f"{erow.size} rows, {ecol.size} cols, {costs.size} costs"
-            )
-        # Out-of-range indices would otherwise reach np.bincount / fancy
-        # indexing (negative indices silently alias!) with opaque errors.
-        rmin, rmax = int(erow.min()), int(erow.max())
-        if rmin < 0 or rmax >= n:
-            raise ValidationError(
-                f"edge_rows out of range [0, {n}): min {rmin}, max {rmax}"
-            )
-        cmin, cmax = int(ecol.min()), int(ecol.max())
-        if cmin < 0 or cmax >= m:
-            raise ValidationError(
-                f"edge_cols out of range [0, {m}): min {cmin}, max {cmax}"
-            )
-        rows_idx = np.asarray(rows, dtype=np.intp)
-        cols_idx = np.asarray(cols, dtype=np.intp)
-        if edge_idx is not None and self._universe is not None:
-            csr_erow, csr_cols, csr_costs = self._csr_from_universe(
-                n, m, rows_idx, cols_idx, edge_idx, costs.size
-            )
-        else:
-            # Row-major CSR with ascending columns inside each row -- the
-            # deterministic layout every tie-break below is defined against.
-            order = np.lexsort((ecol, erow))
-            csr_erow = erow[order]
-            csr_cols = ecol[order]
-            csr_costs = costs[order]
-        counts = np.bincount(csr_erow, minlength=n)
-        indptr = np.empty(n + 1, dtype=np.intp)
-        indptr[0] = 0
-        np.cumsum(counts, out=indptr[1:])
-        flat_keys = csr_erow * m + csr_cols
-        # Local dual views: u per local row; v_local packs the real columns
-        # first, then row r's dummy column at index m + r.  A dummy column's
-        # potential stays zero: a matched one is reached only through its
-        # own row, so no sweep pops it and no dual update touches it.
-        u = self._u[rows_idx].copy()
-        v_local = np.zeros(m + n, dtype=np.float64)
-        v_local[:m] = self._v[cols_idx]
-        return (
-            n, m, rows_idx, cols_idx,
-            csr_erow, csr_cols, csr_costs, indptr, flat_keys, u, v_local,
-        )
-
-    def _csr_from_universe(
-        self,
-        n: int,
-        m: int,
-        rows_idx: np.ndarray,
-        cols_idx: np.ndarray,
-        edge_idx: np.ndarray,
-        n_expected: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR arrays via the universe presort (O(E) filter, no lexsort)."""
-        uni = self._universe
-        idx = np.asarray(edge_idx, dtype=np.intp)
-        n_universe = uni.n_edges
-        if idx.size != n_expected:
-            raise ValidationError(
-                f"edge_idx ({idx.size}) and edge arrays ({n_expected}) disagree"
-            )
-        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= n_universe):
-            raise ValidationError(
-                f"edge_idx out of range [0, {n_universe})"
-            )
-        mask = np.zeros(n_universe, dtype=bool)
-        mask[idx] = True
-        sel = uni.order[mask[uni.order]]
-        n2r = np.empty(self._node_space, dtype=np.intp)
-        c2l = np.empty(self._item_space, dtype=np.intp)
-        ar = np.arange(max(n, m), dtype=np.intp)
-        n2r[rows_idx] = ar[:n]
-        c2l[cols_idx] = ar[:m]
-        csr_erow = n2r[uni.edge_node[sel]]
-        csr_cols = c2l[uni.edge_item[sel]]
-        csr_costs = uni.edge_cost[sel]
-        return csr_erow, csr_cols, csr_costs
-
-    def _cut_free_rows(
-        self, n, m, u, v_local, csr_erow, csr_cols, csr_costs, indptr,
-        row4col, col4row,
-    ) -> int:
-        """Reject a grown round, else restore dual feasibility on free rows.
-
-        A shrinking round keeps every dual feasible, every matched pair
-        tight and every free column at zero potential.  Two violations mean
-        the graph grew in a way the sweep cannot absorb, and raise
-        :class:`~repro.util.errors.ValidationError`:
-
-        * a *matched* row (real or dummy partner) whose worst live edge has
-          reduced cost below ``-big * 1e-12``.  Edges the dual updates leave
-          exactly tight in real arithmetic drift by a few ulps of ``big`` in
-          floats; a genuine violation is a raw cost difference, orders of
-          magnitude above the tolerance;
-        * a *free* column, real or dummy, with a negative potential (a
-          column back from a round in which it was matched).
-
-        Otherwise every *free* row with a violating edge gets ``u`` cut to
-        its cheapest raw live edge cost (capped by the dummy cost ``big``).
-        Potentials never exceed zero, so the cut row is feasible against
-        every column, and it is re-augmented anyway.  Only the round-local
-        ``u`` changes.  Returns the number of rows cut.
-
-        Per-row minima are taken with ``np.minimum.reduceat`` over the CSR
-        starts of the rows that have an edge (consecutive nonempty starts
-        delimit exactly those rows' slices).
-        """
-        width = m + n
-        big = self._big
-        worst = np.zeros(n)
-        starts = indptr[:-1]
-        nonempty = indptr[1:] > starts
-        ne_starts = starts[nonempty]
-        if ne_starts.size:
-            slack = csr_costs - u[csr_erow] - v_local[csr_cols]
-            worst[nonempty] = np.minimum(np.minimum.reduceat(slack, ne_starts), 0.0)
-        np.minimum(worst, np.minimum((big - u) - v_local[m:width], 0.0), out=worst)
-        matched = col4row >= 0
-        if bool(np.any(worst[matched] < -big * 1e-12)):
-            raise ValidationError(
-                "the round graph grew: a matched row's dual is infeasible "
-                "(warm rounds must shrink)"
-            )
-        if bool(np.any(v_local[row4col == -1] < 0.0)):
-            raise ValidationError(
-                "the round graph grew: a free column carries a negative "
-                "potential (warm rounds must shrink)"
-            )
-        rows_bad = np.nonzero((worst < 0.0) & ~matched)[0]
-        if rows_bad.size:
-            rawmin = np.full(n, big)
-            if ne_starts.size:
-                rawmin[nonempty] = np.minimum(
-                    np.minimum.reduceat(csr_costs, ne_starts), big
-                )
-            u[rows_bad] = np.minimum(u[rows_bad], rawmin[rows_bad])
-        return int(rows_bad.size)
+        self._u: dict[int, float] = {}
+        self._v = [0.0] * item_space
+        self._g_col4row: dict[int, int] = {}
+        self._g_row4col = [-1] * item_space
 
     # -- public API -----------------------------------------------------------
     def solve_round(
         self,
         rows: Sequence[int],
-        cols: np.ndarray,
-        edge_rows: np.ndarray,
-        edge_cols: np.ndarray,
+        cols: Sequence[int],
+        indptr: Sequence[int],
+        edge_cols: Sequence[int],
         edge_costs: Sequence[float],
     ) -> list[tuple[int, int, float]]:
         """Solve one round's matching, reusing the previous round's duals.
@@ -511,9 +270,14 @@ class DualReusingSolver:
             gathered/scattered through these ids).
         cols:
             Global item indices of the round's right nodes.
-        edge_rows, edge_cols, edge_costs:
-            The round's edges in *round-local* indices (the exact arrays
-            :meth:`RoundState.build_edges` emits).  Costs must be
+        indptr:
+            Row ``r``'s edges are positions ``indptr[r]:indptr[r + 1]`` of
+            the edge lists (``len(rows) + 1`` offsets from 0 to the edge
+            count).
+        edge_cols, edge_costs:
+            Per edge, its round-local column (an index into ``cols``,
+            ascending within each row) and its cost -- the lists
+            :meth:`RoundState.build_csr` emits.  Costs must be
             non-negative -- the zero dual start of the first round is only
             feasible then (Algorithm 2's Eq. 3 costs always are).
 
@@ -526,42 +290,19 @@ class DualReusingSolver:
         Raises
         ------
         ValidationError
-            On malformed edge arrays, and on a round that grew the graph in
-            a way :meth:`_cut_free_rows` rejects; the solver is unchanged.
+            On a malformed round (lists of disagreeing lengths, indices
+            out of range, negative costs), and on a round that grew the
+            graph; the solver is unchanged.
         """
-        built = self._build_round(rows, cols, edge_rows, edge_cols, edge_costs)
-        if built is None:
-            return []
-        (n, m, rows_idx, cols_idx,
-         csr_erow, csr_cols, csr_costs, indptr, flat_keys, u, v_local) = built
-        row4col = np.full(m + n, -1, dtype=np.intp)
-        col4row = np.full(n, -1, dtype=np.intp)
-        stats = self.stats
-        stats.dual_repairs += self._cut_free_rows(
-            n, m, u, v_local, csr_erow, csr_cols, csr_costs, indptr,
-            row4col, col4row,
-        )
-        stats.rows_total += n
-        stats.rows_reaugmented += n
-        self._sweep(
-            list(range(n)), n, m, u, v_local,
-            csr_erow, csr_cols, csr_costs, indptr, row4col, col4row,
-        )
-        # Persist the improved potentials for the next round.
-        self._u[rows_idx] = u
-        self._v[cols_idx] = v_local[:m]
-        stats.rounds += 1
-        return self._emit(m, col4row, csr_costs, flat_keys)
+        return self._solve(rows, cols, indptr, edge_cols, edge_costs, False)
 
     def solve_round_delta(
         self,
         rows: Sequence[int],
-        cols: np.ndarray,
-        edge_rows: np.ndarray,
-        edge_cols: np.ndarray,
+        cols: Sequence[int],
+        indptr: Sequence[int],
+        edge_cols: Sequence[int],
         edge_costs: Sequence[float],
-        *,
-        edge_idx: np.ndarray | None = None,
     ) -> list[tuple[int, int, float]]:
         """Delta re-solve: keep every still-valid pair, re-augment orphans.
 
@@ -576,233 +317,298 @@ class DualReusingSolver:
           matched (still tight under the persisted duals);
         * ``cols`` must be strictly ascending (both round engines emit it
           so; the reconciliation binary-searches it);
-        * ``edge_idx`` -- optional universe positions of the round's edges
-          (``RoundState.build_edges`` computes them anyway).  With a
-          :class:`UniverseIndex` attached this derives the CSR layout by an
-          O(E) filter of the presort; results are bit-identical to the
-          ``lexsort`` path;
-        * a kept pair's row is *matched* for :meth:`_cut_free_rows`, so a
+        * a kept pair's row is *matched* for the feasibility check, so a
           grown edge at it, or an item coming back free after a round in
           which it was matched, raises before anything persists.
 
         The first delta round of a solver (nothing persisted) re-augments
         every row and is bit-identical to :meth:`solve_round`.
         """
-        built = self._build_round(
-            rows, cols, edge_rows, edge_cols, edge_costs, edge_idx=edge_idx
-        )
-        if built is None:
+        return self._solve(rows, cols, indptr, edge_cols, edge_costs, True)
+
+    # -- one round ------------------------------------------------------------
+    def _solve(self, rows, cols, indptr, edge_cols, edge_costs, delta):
+        n, m = len(rows), len(cols)
+        if n == 0 or m == 0 or len(edge_costs) == 0:
             return []
-        (n, m, rows_idx, cols_idx,
-         csr_erow, csr_cols, csr_costs, indptr, flat_keys, u, v_local) = built
-        if m > 1 and not bool(np.all(cols_idx[1:] > cols_idx[:-1])):
-            raise ValidationError(
-                "solve_round_delta requires strictly ascending cols "
-                "(global item indices)"
-            )
-        row4col = np.full(m + n, -1, dtype=np.intp)
-        col4row = np.full(n, -1, dtype=np.intp)
-
-        # -- reconcile the persisted matching with this round's graph --------
-        prior = self._g_col4row[rows_idx]
-        drows = np.nonzero(prior == DUMMY)[0]
-        if drows.size:
-            # Dummy edges never disappear and their duals are untouched
-            # between rounds, so dummy-matched rows stay dummy-matched.
-            col4row[drows] = m + drows
-            row4col[m + drows] = drows
-        crows = np.nonzero(prior >= 0)[0]
-        if crows.size:
-            gitems = prior[crows]
-            cpos = np.minimum(np.searchsorted(cols_idx, gitems), m - 1)
-            alive = cols_idx[cpos] == gitems
-            # Edge-existence test: flat_keys is strictly ascending, so one
-            # batched searchsorted answers membership for every kept pair.
-            q = crows * m + cpos
-            p = np.minimum(np.searchsorted(flat_keys, q), flat_keys.size - 1)
-            keep = alive & (flat_keys[p] == q)
-            # Mutuality: a row absent from a round keeps its stale
-            # ``_g_col4row`` entry while its item may be re-matched to
-            # another row.  Keeping the pair only when the item's entry
-            # still points back at the row rejects those stale claims.
-            keep &= self._g_row4col[gitems] == rows_idx[crows]
-            kr = crows[keep]
-            if kr.size:
-                kc = cpos[keep]
-                col4row[kr] = kc
-                row4col[kc] = kr
-
-        stats = self.stats
-        stats.dual_repairs += self._cut_free_rows(
-            n, m, u, v_local, csr_erow, csr_cols, csr_costs, indptr,
-            row4col, col4row,
+        self._check_round(rows, cols, indptr, edge_cols, edge_costs, delta)
+        u_get = self._u.get
+        u = [u_get(g, 0.0) for g in rows]
+        # Local column potentials: the real columns first, then row r's
+        # dummy column at m + r.  A dummy column's potential stays zero: a
+        # matched one is reached only through its own row, so no sweep
+        # pops it and no dual update touches it.
+        v = list(map(self._v.__getitem__, cols))
+        v += [0.0] * n
+        row4col = [-1] * (m + n)
+        col4row = [-1] * n
+        if delta:
+            self._reconcile(rows, cols, indptr, edge_cols, row4col, col4row)
+        orphans, minv, argcol, cut = self._prepass(
+            m, u, v, indptr, edge_cols, edge_costs, row4col, col4row
         )
-
-        orphans = np.nonzero(col4row == -1)[0].tolist()
+        stats = self.stats
+        stats.dual_repairs += cut
         stats.rows_total += n
         stats.rows_kept += n - len(orphans)
         stats.rows_reaugmented += len(orphans)
-
-        self._sweep(
-            orphans, n, m, u, v_local,
-            csr_erow, csr_cols, csr_costs, indptr, row4col, col4row,
+        dirty = self._sweep(
+            orphans, m, u, v, indptr, edge_cols, edge_costs, row4col, col4row,
+            minv, argcol,
         )
-
-        self._u[rows_idx] = u
-        self._v[cols_idx] = v_local[:m]
-
-        # -- persist the matching for the next round's reconciliation --------
-        real = col4row < m  # every row is matched now (real col or its dummy)
-        gnew = np.full(n, DUMMY, dtype=np.intp)
-        if real.any():
-            ritems = cols_idx[col4row[real]]
-            gnew[np.nonzero(real)[0]] = ritems
-            self._g_row4col[ritems] = rows_idx[real]
-        self._g_col4row[rows_idx] = gnew
+        # Persist the improved potentials for the next round.
+        self._u.update(zip(rows, u))
+        g_v = self._v
+        for c in dirty:
+            g_v[cols[c]] = v[c]
         stats.rounds += 1
-        stats.delta_rounds += 1
-        return self._emit(m, col4row, csr_costs, flat_keys)
+        if delta:
+            stats.delta_rounds += 1
+            # Every row is matched now (a real column or its dummy).
+            g_col4row = self._g_col4row
+            g_row4col = self._g_row4col
+            for r, c in enumerate(col4row):
+                if c < m:
+                    g = g_col4row[rows[r]] = cols[c]
+                    g_row4col[g] = rows[r]
+                else:
+                    g_col4row[rows[r]] = DUMMY
+        return self._emit(m, indptr, edge_cols, edge_costs, col4row)
+
+    def _check_round(self, rows, cols, indptr, edge_cols, edge_costs, delta):
+        """Raise :class:`~repro.util.errors.ValidationError` on a malformed
+        round; out-of-range indices would otherwise alias (negative list
+        indices wrap) or fail deep inside the sweep."""
+        n, m, n_edges = len(rows), len(cols), len(edge_costs)
+        if len(edge_cols) != n_edges:
+            raise ValidationError(
+                "edge arrays must be parallel: "
+                f"{len(edge_cols)} cols, {n_edges} costs"
+            )
+        if (
+            len(indptr) != n + 1
+            or indptr[0] != 0
+            or indptr[n] != n_edges
+            or any(map(gt, indptr, islice(indptr, 1, None)))
+        ):
+            raise ValidationError(
+                f"indptr must rise from 0 to {n_edges} edges in {n + 1} "
+                "non-decreasing offsets (one row slice per row)"
+            )
+        if min(edge_costs) < 0.0:
+            raise ValidationError(
+                "warm-started rounds require non-negative costs "
+                "(shift them, as the cold entry point does)"
+            )
+        cmin, cmax = min(edge_cols), max(edge_cols)
+        if cmin < 0 or cmax >= m:
+            raise ValidationError(
+                f"edge_cols out of range [0, {m}): min {cmin}, max {cmax}"
+            )
+        rmin, rmax = min(rows), max(rows)
+        if rmin < 0 or rmax >= self._node_space:
+            raise ValidationError(
+                f"rows out of range [0, {self._node_space}): min {rmin}, max {rmax}"
+            )
+        if delta:
+            if not all(map(lt, cols, islice(cols, 1, None))):
+                raise ValidationError(
+                    "solve_round_delta requires strictly ascending cols "
+                    "(global item indices)"
+                )
+            gmin, gmax = cols[0], cols[-1]
+        else:
+            gmin, gmax = min(cols), max(cols)
+        if gmin < 0 or gmax >= self._item_space:
+            raise ValidationError(
+                f"cols out of range [0, {self._item_space}): min {gmin}, max {gmax}"
+            )
+
+    def _reconcile(self, rows, cols, indptr, edge_cols, row4col, col4row):
+        """Seed the round's matching with the persisted pairs that survive.
+
+        Dummy edges never disappear and their duals are untouched between
+        rounds, so dummy-matched rows stay dummy-matched.  A real pair is
+        kept when its item is still a column (``cols`` is ascending, so one
+        bisection finds it), its edge is still in the row's slice (columns
+        ascend there too), and the item's entry still points back at the
+        row: a row absent from a round keeps its stale ``_g_col4row`` entry
+        while its item may be re-matched to another row, and mutuality
+        rejects those stale claims.
+        """
+        m = len(cols)
+        g_row4col = self._g_row4col
+        for r, prior in enumerate(map(self._g_col4row.get, rows, [-1] * len(rows))):
+            if prior == DUMMY:
+                col4row[r] = m + r
+                row4col[m + r] = r
+            elif prior >= 0 and g_row4col[prior] == rows[r]:
+                c = bisect_left(cols, prior)
+                if c < m and cols[c] == prior:
+                    hi = indptr[r + 1]
+                    p = bisect_left(edge_cols, c, indptr[r], hi)
+                    if p < hi and edge_cols[p] == c:
+                        col4row[r] = c
+                        row4col[c] = r
+
+    def _prepass(self, m, u, v, indptr, edge_cols, edge_costs, row4col, col4row):
+        """Check the duals and cache each orphan row's cheapest column.
+
+        One pass per edge computes its reduced cost ``(cost - u_i) - v_j``.
+        Per row, the minimum with the dummy edge's ``big - u_i`` gives the
+        row's worst dual violation, and two violations mean the graph grew
+        in a way the sweep cannot absorb, raising
+        :class:`~repro.util.errors.ValidationError`:
+
+        * a *matched* row (real or dummy partner) whose worst violation is
+          below ``-big * 1e-12``.  Edges the dual updates leave exactly
+          tight in real arithmetic drift by a few ulps of ``big`` in
+          floats; a genuine violation is a raw cost difference, orders of
+          magnitude above the tolerance;
+        * a *free* column with a negative potential (a column back from a
+          round in which it was matched; dummy potentials are zero).
+
+        Otherwise every *free* row with a violation gets ``u`` cut to its
+        cheapest raw edge cost (capped by the dummy cost ``big``; potentials
+        never exceed zero, so the cut row is feasible against every column,
+        and it is re-augmented anyway).  Only the round-local ``u`` changes.
+
+        The same pass is the sweep's prepass: for every free (orphan) row,
+        ``minv`` holds its cheapest ``0.0 + ((cost - u_i) - v_j)`` -- the
+        scan's first-iteration relaxation, bit for bit -- and ``argcol`` the
+        first column reaching it (``inf`` and ``-1`` for a row without an
+        edge).  Returns ``(orphans, minv, argcol, number of rows cut)``.
+        """
+        big = self._big
+        tol = -big * 1e-12
+        inf = math.inf
+        n = len(col4row)
+        if min(v) < 0.0:
+            for c in range(m):
+                if v[c] < 0.0 and row4col[c] < 0:
+                    raise ValidationError(
+                        "the round graph grew: a free column carries a negative "
+                        "potential (warm rounds must shrink)"
+                    )
+        orphans: list[int] = []
+        cut: list[int] = []
+        minv = [inf] * n
+        argcol = [-1] * n
+        lo = 0
+        for r in range(n):
+            hi = indptr[r + 1]
+            ur = u[r]
+            best = inf
+            arg = -1
+            for p in range(lo, hi):
+                j = edge_cols[p]
+                s = (edge_costs[p] - ur) - v[j]
+                if s < best:
+                    best = s
+                    arg = j
+            worst = big - ur  # the dummy edge, at zero potential
+            if best < worst:
+                worst = best
+            if col4row[r] >= 0:
+                if worst < tol:
+                    raise ValidationError(
+                        "the round graph grew: a matched row's dual is "
+                        "infeasible (warm rounds must shrink)"
+                    )
+            else:
+                orphans.append(r)
+                if worst < 0.0:
+                    cut.append(r)
+                minv[r] = 0.0 + best
+                argcol[r] = arg
+            lo = hi
+        for r in cut:
+            lo, hi = indptr[r], indptr[r + 1]
+            ur = u[r] = min(u[r], min(edge_costs[lo:hi], default=big), big)
+            best = inf
+            for p in range(lo, hi):
+                j = edge_cols[p]
+                cand = 0.0 + ((edge_costs[p] - ur) - v[j])
+                if cand < best:
+                    best = cand
+                    argcol[r] = j
+            minv[r] = best
+        return orphans, minv, argcol, len(cut)
 
     # -- sweep ----------------------------------------------------------------
     def _sweep(
-        self, orphans, n, m, u, v_local, csr_erow, csr_cols, csr_costs,
-        indptr, row4col, col4row,
-    ) -> None:
-        """Prepass quick-matching + lazy-deletion heap Dijkstra.
+        self, orphans, m, u, v, indptr, edge_cols, edge_costs, row4col, col4row,
+        minv, argcol,
+    ):
+        """Quick-match from the prepass cache, else a lazy-deletion heap Dijkstra.
 
         Bit-identical to the reference ``argmin`` scan (same floats, same
         tie-breaks, same dual updates); only the work per augmentation
-        differs.  The prepass is vectorised; everything after it runs on
-        plain Python lists converted once per round, and ``u``,
-        ``v_local`` and the matching are written back at the end.
+        differs.  Works on the round's lists in place and returns the real
+        columns whose potential changed.
         """
-        if not orphans:
-            return
         stats = self.stats
         big = self._big
-        width = m + n
-        E = csr_costs.size
-
-        # -- prepass: each orphan row's cheapest reduced-cost column, -------
-        # first-index.  cand0 reproduces the scan's first-iteration
-        # relaxation bit-for-bit: offset (0.0) + ((cost - u_i) - v_j),
-        # evaluated left-associatively.  Delta rounds orphan only a handful
-        # of rows, so their candidates are gathered from just those CSR
-        # slices; cold rounds (every row an orphan) keep the full-array
-        # form.  Both produce identical floats for the rows they cover.
-        minv = np.full(n, np.inf)
-        argcol = np.full(n, -1, dtype=np.intp)
-        if len(orphans) * 4 < n:
-            orph = np.asarray(orphans, dtype=np.intp)
-            lo = indptr[orph]
-            lens = indptr[orph + 1] - lo
-            total = int(lens.sum())
-            if total:
-                seg = np.zeros(orph.size, dtype=np.intp)
-                np.cumsum(lens[:-1], out=seg[1:])
-                pos = (np.arange(total, dtype=np.intp)
-                       - np.repeat(seg, lens) + np.repeat(lo, lens))
-                g_cols = csr_cols[pos]
-                cand0 = 0.0 + ((csr_costs[pos] - u[np.repeat(orph, lens)])
-                               - v_local[g_cols])
-                ne = lens > 0
-                ne_starts = seg[ne]
-                rows_ne = orph[ne]
-                minv[rows_ne] = np.minimum.reduceat(cand0, ne_starts)
-                hit = cand0 == np.repeat(minv[orph], lens)
-                first = np.minimum.reduceat(np.where(hit, pos, E), ne_starts)
-                argcol[rows_ne] = csr_cols[first]
-        elif E:
-            idx_e = np.arange(E, dtype=np.intp)
-            cand0 = 0.0 + ((csr_costs - u[csr_erow]) - v_local[csr_cols])
-            starts = indptr[:-1]
-            nonempty = indptr[1:] > starts
-            # reduceat over the *nonempty* segment starts only: empty
-            # segments have zero width, so consecutive nonempty starts
-            # still delimit exactly the nonempty rows' CSR slices (and stay
-            # in range, which the raw starts do not when trailing rows are
-            # empty).
-            ne_starts = starts[nonempty]
-            minv[nonempty] = np.minimum.reduceat(cand0, ne_starts)
-            hit = cand0 == minv[csr_erow]
-            first = np.minimum.reduceat(np.where(hit, idx_e, E), ne_starts)
-            argcol[nonempty] = csr_cols[first]
-        dumv = 0.0 + ((big - u) - v_local[m:width])
-
-        minv_l = minv.tolist()
-        dumv_l = dumv.tolist()
-        arg_l = argcol.tolist()
-        # The sequential part: the same IEEE doubles on plain lists.
-        iptr_l = indptr.tolist()
-        cols_l = csr_cols.tolist()
-        costs_l = csr_costs.tolist()
-        u_l = u.tolist()
-        v_l = v_local.tolist()
-        r4c = row4col.tolist()
-        c4r = col4row.tolist()
         # Real columns whose potential changed since the prepass.  v only
         # ever *falls*, so a stale candidate can only have got worse -- a
         # clean candidate is therefore still the row's first-index minimum.
-        # (An unprocessed orphan's dummy column is free, and free columns
-        # are only ever popped as sinks, so cached ``dumv`` is always exact.)
+        # An unprocessed orphan's dummy column is free and its ``u`` has not
+        # moved since the prepass (only matched rows lie on augmenting
+        # paths), so its dummy estimate is computed at its turn.
         dirty: set[int] = set()
         quick = 0
         pops = 0
         for cur_row in orphans:
-            mv = minv_l[cur_row]
-            dv = dumv_l[cur_row]
+            mv = minv[cur_row]
+            dv = 0.0 + (big - u[cur_row])
             if mv > dv:
                 # The private dummy is strictly cheapest (and always free
                 # for an orphan row); a dirty cached candidate could only
                 # have got *worse*, so the comparison stands either way.
                 d = m + cur_row
-                u_l[cur_row] += dv
-                r4c[d] = cur_row
-                c4r[cur_row] = d
+                u[cur_row] += dv
+                row4col[d] = cur_row
+                col4row[cur_row] = d
                 quick += 1
                 continue
-            c = arg_l[cur_row]
-            if c in dirty or r4c[c] >= 0:
+            c = argcol[cur_row]
+            if c in dirty or row4col[c] >= 0:
                 # Cache miss (stale candidate, or the column was claimed by
                 # an earlier row this round): recompute the row's fresh
                 # first-relaxation minimum -- exactly the scan's first pop
                 # under the *current* duals -- in O(degree).
-                ui = u_l[cur_row]
+                ui = u[cur_row]
                 mv = math.inf
                 c = -1
-                for p in range(iptr_l[cur_row], iptr_l[cur_row + 1]):
-                    j = cols_l[p]
-                    cand = 0.0 + ((costs_l[p] - ui) - v_l[j])
+                for p in range(indptr[cur_row], indptr[cur_row + 1]):
+                    j = edge_cols[p]
+                    cand = 0.0 + ((edge_costs[p] - ui) - v[j])
                     if cand < mv:
                         mv = cand
                         c = j
                 if mv > dv:
                     d = m + cur_row
-                    u_l[cur_row] += dv
-                    r4c[d] = cur_row
-                    c4r[cur_row] = d
+                    u[cur_row] += dv
+                    row4col[d] = cur_row
+                    col4row[cur_row] = d
                     quick += 1
                     continue
-                if r4c[c] >= 0:
+                if row4col[c] >= 0:
                     # Genuine conflict: the cheapest column is matched, so
                     # the augmenting path has length > 1.
                     pops += self._augment_heap(
-                        cur_row, m, u_l, v_l, cols_l, costs_l, iptr_l,
-                        r4c, c4r, dirty,
+                        cur_row, m, u, v, edge_cols, edge_costs, indptr,
+                        row4col, col4row, dirty,
                     )
                     continue
             # First pop is a free column: the scan would have ended here.
-            u_l[cur_row] += mv
-            r4c[c] = cur_row
-            c4r[cur_row] = c
+            u[cur_row] += mv
+            row4col[c] = cur_row
+            col4row[cur_row] = c
             quick += 1
-        u[:] = u_l
-        if dirty:
-            v_local[:] = v_l
-        row4col[:] = r4c
-        col4row[:] = c4r
         stats.quick_matches += quick
         stats.heap_pops += pops
+        return dirty
 
     def _augment_heap(
         self, cur_row, m, u_l, v_l, cols_l, costs_l, iptr_l, r4c, c4r, dirty,
@@ -911,31 +717,41 @@ class DualReusingSolver:
 
     # -- output ---------------------------------------------------------------
     @staticmethod
-    def _emit(m, col4row, csr_costs, flat_keys) -> list[tuple[int, int, float]]:
-        """Matched triples, costs recovered by one batched searchsorted."""
-        pairs = np.nonzero((col4row >= 0) & (col4row < m))[0]
-        if pairs.size == 0:
-            return []
-        jcols = col4row[pairs]
-        pos = np.searchsorted(flat_keys, pairs * m + jcols)
-        return list(zip(pairs.tolist(), jcols.tolist(), csr_costs[pos].tolist()))
+    def _emit(m, indptr, edge_cols, edge_costs, col4row) -> list[tuple[int, int, float]]:
+        """Matched ``(row, col, cost)`` triples by row; each cost is found by
+        bisecting the row's ascending slice (a linear search if it is not)."""
+        out = []
+        for r, c in enumerate(col4row):
+            if c < m:
+                lo, hi = indptr[r], indptr[r + 1]
+                p = bisect_left(edge_cols, c, lo, hi)
+                if p == hi or edge_cols[p] != c:
+                    p = edge_cols.index(c, lo, hi)
+                out.append((r, c, edge_costs[p]))
+        return out
+
+
+def _as_list(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
 def warm_min_cost_max_matching(
     n_rows: int,
     n_cols: int,
-    edge_rows: np.ndarray,
-    edge_cols: np.ndarray,
-    edge_costs: np.ndarray,
+    edge_rows: Sequence[int],
+    edge_cols: Sequence[int],
+    edge_costs: Sequence[float],
 ) -> list[tuple[int, int, float]]:
     """Cold single-shot entry point for the warm-started solver.
 
     Used by the generic :func:`repro.matching.mincost.min_cost_max_matching`
     interface (and by tests) when no round sequence exists to carry duals
-    across.  Negative costs are handled by a uniform shift -- it adds
-    ``k * shift`` to every cardinality-``k`` matching, leaving the set of
-    min-cost maximum matchings unchanged -- and decoded edges report the
-    original cost floats.
+    across.  The edges may come in any order, as lists or arrays; they are
+    laid out as the solver's row-major CSR (already-sorted input, such as a
+    row-major edge map, is not re-sorted).  Negative costs are handled by a
+    uniform shift -- it adds ``k * shift`` to every cardinality-``k``
+    matching, leaving the set of min-cost maximum matchings unchanged --
+    and decoded edges report the original cost floats.
     """
     costs = np.asarray(edge_costs, dtype=np.float64)
     if n_rows == 0 or n_cols == 0 or costs.size == 0:
@@ -944,32 +760,43 @@ def warm_min_cost_max_matching(
     shift = -low if low < 0.0 else 0.0
     shifted = costs + shift if shift else costs
     solver = DualReusingSolver(n_rows, n_cols, universe_cost_sum=float(shifted.sum()))
-    matched = solver.solve_round(
-        np.arange(n_rows, dtype=np.intp),
-        np.arange(n_cols, dtype=np.intp),
-        edge_rows,
-        edge_cols,
-        shifted,
-    )
+    rows = _as_list(edge_rows)
+    cols = _as_list(edge_cols)
+    if len(rows) != costs.size or len(cols) != costs.size:
+        raise ValidationError(
+            "edge arrays must be parallel: "
+            f"{len(rows)} rows, {len(cols)} cols, {costs.size} costs"
+        )
+    if min(rows) < 0 or max(rows) >= n_rows:
+        raise ValidationError(
+            f"edge_rows out of range [0, {n_rows}): min {min(rows)}, max {max(rows)}"
+        )
+    run = shifted.tolist()
+    keys = [r * n_cols + c for r, c in zip(rows, cols)]
+    order = None
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rows = [rows[i] for i in order]
+        cols = [cols[i] for i in order]
+        run = [run[i] for i in order]
+    indptr = [bisect_left(rows, r) for r in range(n_rows + 1)]
+    matched = solver.solve_round(range(n_rows), range(n_cols), indptr, cols, run)
     if not shift:
         return matched
-    # Recover original costs by edge identity (never unshift by arithmetic):
-    # one batched searchsorted over the (row, col)-keyed edge list.
-    rows = np.asarray(edge_rows, dtype=np.intp)
-    cols = np.asarray(edge_cols, dtype=np.intp)
-    keys = rows * n_cols + cols
-    key_order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[key_order]
-    mr = np.asarray([t[0] for t in matched], dtype=np.intp)
-    mc = np.asarray([t[1] for t in matched], dtype=np.intp)
-    pos = key_order[np.searchsorted(sorted_keys, mr * n_cols + mc)]
-    return list(zip(mr.tolist(), mc.tolist(), costs[pos].tolist()))
+    # Recover the original cost floats by edge identity (never unshift by
+    # arithmetic): the matched pair's CSR position in the caller's order.
+    original = costs.tolist()
+    if order is not None:
+        original = [original[i] for i in order]
+    return [
+        (r, c, original[bisect_left(cols, c, indptr[r], indptr[r + 1])])
+        for r, c, _ in matched
+    ]
 
 
 __all__ = [
     "DUMMY",
     "DualReusingSolver",
-    "UniverseIndex",
     "WARM_DELTA_ENV",
     "WarmStats",
     "warm_delta_enabled",

@@ -9,7 +9,9 @@ forms it replaced, kept as oracles:
   for the :func:`~repro.admission.transaction.redrawn` policy;
 * :func:`admit_request_loop` -- ``admit_request``'s own commit-and-re-plan
   loop, the reference for the :func:`~repro.admission.transaction.planned`
-  policy.
+  policy; a re-plan builds the DAG's layers from the first unplaced
+  position only (the loop once demanded a candidate for the placed
+  positions too, and rejected feasible requests).
 
 The transaction must place the same primaries, leave the same ledger
 (journal, tags and ``used`` bytes), take the same draws and raise the same
@@ -75,7 +77,9 @@ def admit_request_loop(
         placement: list[int] = []
         position = 0
         while position < request.chain.length:
-            dag = AdmissionDAG(network, request, ledger.residuals(), transport)
+            dag = AdmissionDAG(
+                network, request, ledger.residuals(), transport, start_from=position
+            )
             anchor = placement[-1] if placement else None
             plan = dag.shortest_placement(start_from=position, anchor=anchor)
             committed = 0

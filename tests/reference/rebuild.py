@@ -77,18 +77,25 @@ class RebuildHeuristic(MatchingHeuristic):
                 break
 
             if warm is not None:
-                # Same round graph, arrays instead of the dict (dict
-                # insertion order is already item-major/bin order), columns
-                # keyed globally through remaining_idx.
+                # Same round graph as the solver's row-major CSR: dict
+                # insertion order is item-major/bin order, so each row's
+                # columns arrive ascending; columns are keyed globally
+                # through remaining_idx.
+                by_row: list[list[tuple[int, float]]] = [[] for _ in cloudlets]
+                for (r, c), cost in edges.items():
+                    by_row[r].append((c, cost))
+                indptr = [0]
+                edge_cols: list[int] = []
+                edge_costs: list[float] = []
+                for row_edges in by_row:
+                    edge_cols += [c for c, _ in row_edges]
+                    edge_costs += [cost for _, cost in row_edges]
+                    indptr.append(len(edge_cols))
                 solve = warm.solve_round_delta if warm_delta else warm.solve_round
                 matching = [
                     MatchEdge(r, c, cost)
                     for r, c, cost in solve(
-                        cloudlets,
-                        remaining_idx,
-                        [k[0] for k in edges],
-                        [k[1] for k in edges],
-                        list(edges.values()),
+                        cloudlets, remaining_idx, indptr, edge_cols, edge_costs
                     )
                 ]
             else:

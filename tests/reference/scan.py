@@ -6,7 +6,9 @@ shipped: one Dijkstra per orphan row whose pop is a full-array
 ``np.argmin`` over the tentative distances.  The production heap sweep
 (prepass quick-matching + lazy-deletion heap) must return the same
 pairing, pair for pair, even where costs tie
-(``tests/test_matching_warm_delta.py``).
+(``tests/test_matching_warm_delta.py``).  The solver hands its sweep the
+round as plain lists; an adapter turns them into the arrays the scan was
+written for at entry and writes the results back into the lists at exit.
 """
 
 from __future__ import annotations
@@ -21,8 +23,33 @@ class ScanSolver(DualReusingSolver):
     """:class:`DualReusingSolver` augmenting with the ``argmin`` scan."""
 
     def _sweep(
-        self, orphans, n, m, u, v_local,
-        csr_erow, csr_cols, csr_costs, indptr, row4col, col4row,
+        self, orphans, m, u_list, v_list, indptr_list, cols_list, costs_list,
+        row4col_list, col4row_list, minv, argcol,
+    ):
+        # List adapter (entry): the scan's arrays; the prepass cache
+        # (``minv``, ``argcol``) is the heap sweep's and goes unused.
+        n = len(col4row_list)
+        indptr = np.asarray(indptr_list, dtype=np.intp)
+        csr_cols = np.asarray(cols_list, dtype=np.intp)
+        csr_costs = np.asarray(costs_list, dtype=np.float64)
+        u = np.asarray(u_list, dtype=np.float64)
+        v_local = np.asarray(v_list, dtype=np.float64)
+        row4col = np.asarray(row4col_list, dtype=np.intp)
+        col4row = np.asarray(col4row_list, dtype=np.intp)
+        self._scan(
+            orphans, n, m, u, v_local, csr_cols, csr_costs, indptr, row4col, col4row
+        )
+        # List adapter (exit): results back into the solver's lists, and
+        # every real column reported, since any potential may have moved.
+        u_list[:] = u.tolist()
+        v_list[:] = v_local.tolist()
+        row4col_list[:] = row4col.tolist()
+        col4row_list[:] = col4row.tolist()
+        return range(m)
+
+    def _scan(
+        self, orphans, n, m, u, v_local, csr_cols, csr_costs, indptr,
+        row4col, col4row,
     ) -> None:
         big = self._big
         width = m + n

@@ -51,6 +51,18 @@ class TestAdmitRequest:
         outcome = admit_request(network, request, ledger)
         assert len(set(outcome.placement)) == 3  # one primary per cloudlet
 
+    def test_replan_checks_only_the_unplaced_positions(self):
+        """Regression: the plan puts both primaries on cloudlet 0, which
+        then cannot hold the second; the re-plan for position 1 once
+        demanded a candidate for the placed position 0 as well and rejected
+        this request, although (0, 1) fits."""
+        network = MECNetwork(line_topology(2), {0: 450.0, 1: 150.0})
+        request = _request([(400.0, 0.9), (100.0, 0.9)])
+        ledger = CapacityLedger(network.capacities)
+        outcome = admit_request(network, request, ledger)
+        assert outcome.placement == (0, 1)
+        assert (ledger.used(0), ledger.used(1)) == (400.0, 100.0)
+
     def test_infeasible_rolls_back(self):
         network = MECNetwork(line_topology(3), {0: 500.0})
         request = _request([(400.0, 0.9)] * 2)  # second cannot fit anywhere

@@ -105,3 +105,19 @@ class TestAdmissionDAG:
         dag = AdmissionDAG(network, _request(two_types), network.capacities)
         suffix = dag.shortest_placement(start_from=1, anchor=0)
         assert len(suffix) == 1
+
+    def test_suffix_dag_builds_only_its_layers(self):
+        # Position 0 (demand 400) fits nowhere any more; position 1 does.
+        request = _request(
+            [VNFType("a", demand=400.0, reliability=0.8),
+             VNFType("b", demand=100.0, reliability=0.9)]
+        )
+        network = MECNetwork(line_topology(2), {0: 450.0, 1: 150.0})
+        residuals = {0: 50.0, 1: 150.0}
+        with pytest.raises(InfeasibleError):
+            AdmissionDAG(network, request, residuals)
+        dag = AdmissionDAG(network, request, residuals, start_from=1)
+        assert dag.layers == [[], [1]]
+        assert dag.shortest_placement(start_from=1, anchor=0) == [1]
+        with pytest.raises(ValidationError):
+            dag.shortest_placement(start_from=0)

@@ -5,10 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.base import AugmentationAlgorithm
-from repro.algorithms.baselines import GreedyGain
+from repro.algorithms.baselines import GreedyGain, NoAugmentation
 from repro.algorithms.heuristic import MatchingHeuristic
 from repro.core.solution import AugmentationResult, AugmentationSolution, Placement
-from repro.experiments.batch import BatchReport, BatchRequestOutcome, run_request_stream
+from repro.experiments.batch import (
+    BatchReport,
+    BatchRequestOutcome,
+    run_joint_comparison,
+    run_request_stream,
+)
 from repro.experiments.settings import ExperimentSettings
 
 
@@ -162,3 +167,61 @@ class TestTransactionalCommit:
         assert [o.admitted for o in report.outcomes] == [True, False, True]
         # later requests still commit normally against an uncorrupted ledger
         assert report.outcomes[2].backups > 0
+
+
+class SecondCallSolver(AugmentationAlgorithm):
+    """The heuristic, except on its second call: then ``second(solution)``
+    of the heuristic's solution, reported with the primaries-only figures."""
+
+    name = "SecondCall"
+
+    def __init__(self, second):
+        self.calls = 0
+        self.second = second
+        self.inner = MatchingHeuristic()
+        self.seen: list[int] = []
+
+    def solve(self, problem, rng=None):
+        self.calls += 1
+        result = self.inner.solve(problem, rng=rng)
+        if self.calls != 2:
+            return result
+        self.seen.append(len(result.solution.placements))
+        reliability = AugmentationSolution.empty().reliability(problem)
+        return AugmentationResult(
+            algorithm=self.name,
+            solution=self.second(result.solution),
+            reliability=reliability,
+            runtime_seconds=0.0,
+            expectation_met=problem.request.meets_expectation(reliability),
+        )
+
+
+class TestJointComparisonCommit:
+    """The sequential side commits each request's backups all or nothing."""
+
+    def test_overshoot_scores_the_request_primaries_only(self, stream_settings):
+        overshoot = run_joint_comparison(stream_settings, OvershootingSolver(), 4, rng=5)
+        primaries_only = run_joint_comparison(stream_settings, NoAugmentation(), 4, rng=5)
+        assert overshoot.num_requests == 4
+        assert overshoot == primaries_only
+
+    def test_partial_commit_is_released(self, stream_settings):
+        """Request 2's good backups are committed before its overshooting
+        one fails; they must be released, so request 3 sees the ledger it
+        would see had request 2 taken no backup."""
+
+        def overshoot(solution):
+            # One more backup, far beyond any residual, on the first bin used.
+            extra = Placement(
+                position=0, k=99, bin=solution.placements[0].bin, demand=1e12,
+                gain=0.1, cost=1.0,
+            )
+            return AugmentationSolution(solution.placements + (extra,))
+
+        partial = SecondCallSolver(overshoot)
+        nothing = SecondCallSolver(lambda solution: AugmentationSolution.empty())
+        got = run_joint_comparison(stream_settings, partial, 4, rng=5)
+        expected = run_joint_comparison(stream_settings, nothing, 4, rng=5)
+        assert partial.seen and partial.seen[0] > 0  # something was committed first
+        assert got == expected

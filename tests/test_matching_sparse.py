@@ -258,11 +258,19 @@ class TestBackendSelection:
         assert via_auto == via_sparse
 
 
+def _csr(n_rows, edges):
+    """``(indptr, edge_cols, edge_costs)`` of ``(row, col, cost)`` triples,
+    row-major with ascending columns: the warm solver's round layout."""
+    edges = sorted(edges)
+    indptr = [sum(1 for e in edges if e[0] < r) for r in range(n_rows + 1)]
+    return indptr, [e[1] for e in edges], [e[2] for e in edges]
+
+
 class TestWarmSolver:
     def test_negative_round_costs_rejected(self):
         solver = DualReusingSolver(2, 2, universe_cost_sum=10.0)
-        with pytest.raises(ValidationError):
-            solver.solve_round([0, 1], np.array([0, 1]), [0], [0], [-1.0])
+        with pytest.raises(ValidationError, match="non-negative"):
+            solver.solve_round([0, 1], [0, 1], *_csr(2, [(0, 0, -1.0)]))
 
     def test_saturated_universe_sum_rejected(self):
         with pytest.raises(ValidationError):
@@ -289,23 +297,11 @@ class TestWarmSolver:
             (0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0), (1, 2, 4.0),
             (2, 3, 2.0), (2, 4, 1.0),
         ]
-        round0 = solver.solve_round(
-            [0, 1, 2],
-            np.arange(5),
-            [e[0] for e in edges0],
-            [e[1] for e in edges0],
-            [e[2] for e in edges0],
-        )
+        round0 = solver.solve_round([0, 1, 2], list(range(5)), *_csr(3, edges0))
         assert len(round0) == 3
         # round 1: items 0, 1, 4 matched and gone; cols compact to [2, 3]
         edges1 = [(1, 0, 4.0), (2, 1, 2.0)]
-        round1 = solver.solve_round(
-            [0, 1, 2],
-            np.array([2, 3]),
-            [e[0] for e in edges1],
-            [e[1] for e in edges1],
-            [e[2] for e in edges1],
-        )
+        round1 = solver.solve_round([0, 1, 2], [2, 3], *_csr(3, edges1))
         assert sorted((r, c) for r, c, _ in round1) == [(1, 0), (2, 1)]
         assert sum(cost for _, _, cost in round1) == pytest.approx(6.0)
 

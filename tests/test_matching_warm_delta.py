@@ -12,13 +12,13 @@ The contract under test (``repro.matching.warmstart``):
   rejected round leaves the solver's duals, matching and counters
   untouched;
 * **Engine equivalences** -- the heap sweep == the ``argmin`` scan of
-  ``tests/reference/scan.py``, delta == cold solves, and the
-  ``edge_idx``/:class:`UniverseIndex` fast path == lexsort path, all
-  pair-for-pair; on tied costs (many optima) the heap still equals the
-  scan pair-for-pair, while scipy is compared on cardinality and cost only;
+  ``tests/reference/scan.py`` and delta == cold solves, pair-for-pair; on
+  tied costs (many optima) the heap still equals the scan pair-for-pair,
+  while scipy is compared on cardinality and cost only;
 * **Counters** -- :class:`WarmStats` bookkeeping stays consistent;
-* **Validation** -- malformed rounds (out-of-range edge endpoints,
-  mismatched ``edge_idx``, unsorted ``cols``) raise
+* **Validation** -- malformed rounds (out-of-range edge endpoints or
+  rows, row offsets that disagree with the edge lists, unsorted ``cols``)
+  raise
   :class:`~repro.util.errors.ValidationError` instead of corrupting the
   persistent state.
 
@@ -36,11 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.matching.warmstart import (
-    DualReusingSolver,
-    UniverseIndex,
-    warm_delta_enabled,
-)
+from repro.matching.warmstart import DualReusingSolver, warm_delta_enabled
 from repro.util.errors import ValidationError
 from tests.reference.scan import ScanSolver
 
@@ -58,6 +54,18 @@ def scipy_reference(n, m, erow, ecol, costs, big):
     )
     cost = float(sum(dense[i, j] for i, j in pairs))
     return pairs, cost
+
+
+def csr(n_rows, erow, ecol, costs):
+    """``(indptr, edge_cols, edge_costs)``: edges given in any order, laid
+    out row-major with ascending columns, as the solver takes a round."""
+    order = sorted(range(len(costs)), key=lambda k: (int(erow[k]), int(ecol[k])))
+    indptr = [0] * (n_rows + 1)
+    for k in order:
+        indptr[int(erow[k]) + 1] += 1
+    for r in range(n_rows):
+        indptr[r + 1] += indptr[r]
+    return indptr, [int(ecol[k]) for k in order], [float(costs[k]) for k in order]
 
 
 def _universe(rng, max_nodes=6, max_items=8, tied=False):
@@ -84,15 +92,14 @@ def _universe(rng, max_nodes=6, max_items=8, tied=False):
 def run_round_sequence(seed, adversarial, tied=False):
     """Drive every engine variant through one random round sequence.
 
-    Five solvers see bit-identical rounds -- scan/heap cold, scan/heap
-    delta, and heap delta on the ``edge_idx``/:class:`UniverseIndex` fast
-    path -- where "scan" is the reference :class:`ScanSolver`.  Each
+    Four solvers see bit-identical rounds -- scan/heap cold and scan/heap
+    delta -- where "scan" is the reference :class:`ScanSolver`.  Each
     solver's round either raises :class:`ValidationError` (a rejected
     grown round) or equals :func:`scipy_reference`: pair-for-pair with
     unique costs, on cardinality and cost with ``tied=True`` (integer
     costs, so the optimum is not unique).  Each heap solver must also
-    match the scan solver of its mode, and the fast path the lexsort path:
-    the same rejection or the same pairs, round by round.
+    match the scan solver of its mode: the same rejection or the same
+    pairs, round by round.
     ``adversarial=False`` is Algorithm 2's shape -- matched items leave,
     edges and rows only disappear -- and must never be rejected.
     ``adversarial=True`` biases the stream toward matched items *staying*
@@ -102,19 +109,17 @@ def run_round_sequence(seed, adversarial, tied=False):
     rng = np.random.default_rng(seed)
     node_order, n_items, e_node, e_item, e_cost = _universe(rng, tied=tied)
     node_space = max(node_order) + 1
-    uni = UniverseIndex(e_node, e_item, e_cost, node_order)
     big = float(e_cost.sum()) + 1.0
 
-    def make(solver=DualReusingSolver, universe=None):
-        return solver(node_space, n_items, float(e_cost.sum()), universe=universe)
+    def make(solver=DualReusingSolver):
+        return solver(node_space, n_items, float(e_cost.sum()))
 
-    # tag -> (solver, cold or delta, pass edge_idx)
+    # tag -> (solver, cold or delta)
     tags = {
-        "scan-cold": (make(ScanSolver), "cold", False),
-        "heap-cold": (make(), "cold", False),
-        "scan-delta": (make(ScanSolver), "delta", False),
-        "heap-delta": (make(), "delta", False),
-        "heap-universe": (make(universe=uni), "delta", True),
+        "scan-cold": (make(ScanSolver), "cold"),
+        "heap-cold": (make(), "cold"),
+        "scan-delta": (make(ScanSolver), "delta"),
+        "heap-delta": (make(), "delta"),
     }
 
     alive_row = {g: True for g in node_order}
@@ -162,7 +167,6 @@ def run_round_sequence(seed, adversarial, tied=False):
         erow = np.array([r_of[int(e_node[k])] for k in sel], dtype=np.intp)
         ecol = np.array([c_of[int(e_item[k])] for k in sel], dtype=np.intp)
         costs = e_cost[np.array(sel, dtype=np.intp)] if sel else np.array([])
-        eidx = np.array(sel, dtype=np.intp)
 
         if rows and cols and sel:
             ref_pairs, ref_cost = scipy_reference(
@@ -172,17 +176,13 @@ def run_round_sequence(seed, adversarial, tied=False):
             ref_pairs, ref_cost = [], 0.0
 
         results = {}
-        cols_arr = np.array(cols, dtype=np.intp)
-        for name, (solver, mode, use_uni) in tags.items():
+        graph = (rows, cols, *csr(len(rows), erow, ecol, costs))
+        for name, (solver, mode) in tags.items():
             try:
                 if mode == "cold":
-                    out = solver.solve_round(rows, cols_arr, erow, ecol, costs)
-                elif use_uni:
-                    out = solver.solve_round_delta(
-                        rows, cols_arr, erow, ecol, costs, edge_idx=eidx
-                    )
+                    out = solver.solve_round(*graph)
                 else:
-                    out = solver.solve_round_delta(rows, cols_arr, erow, ecol, costs)
+                    out = solver.solve_round_delta(*graph)
             except ValidationError as exc:
                 assert "grew" in str(exc), exc
                 assert adversarial, f"seed={seed} round={rnd} tag={name}: {exc}"
@@ -199,8 +199,7 @@ def run_round_sequence(seed, adversarial, tied=False):
             )
             results[name] = (got_pairs, got_cost)
 
-        for name, other in (("heap-cold", "scan-cold"), ("heap-delta", "scan-delta"),
-                            ("heap-universe", "heap-delta")):
+        for name, other in (("heap-cold", "scan-cold"), ("heap-delta", "scan-delta")):
             assert results[name] == results[other], (
                 f"seed={seed} round={rnd}: {name} != {other}"
             )
@@ -244,10 +243,7 @@ def _one_round_solver():
     and 1 -> item 0, with ``u = (5, 5)`` and ``v = (-4, 0)``.
     """
     s = DualReusingSolver(2, 2, 20.0)
-    s.solve_round_delta(
-        [0, 1], np.array([0, 1]),
-        np.array([0, 0, 1]), np.array([0, 1, 0]), np.array([1.0, 5.0, 1.0]),
-    )
+    s.solve_round_delta([0, 1], [0, 1], [0, 2, 3], [0, 1, 0], [1.0, 5.0, 1.0])
     return s
 
 
@@ -256,14 +252,8 @@ def _one_round_solver():
 #: (keeping row 0 on item 1 would cost 5 instead of 1), and a new cost-1
 #: edge reaches matched row 1 at reduced cost ``1 - 5 - 0 < 0``.
 GROWN_ROUNDS = {
-    "free column": (
-        [0], np.array([0, 1]), np.array([0, 0]), np.array([0, 1]),
-        np.array([1.0, 5.0]),
-    ),
-    "matched row": (
-        [0, 1], np.array([0, 1]), np.array([0, 0, 1, 1]),
-        np.array([0, 1, 0, 1]), np.array([1.0, 5.0, 1.0, 1.0]),
-    ),
+    "free column": ([0], [0, 1], [0, 2], [0, 1], [1.0, 5.0]),
+    "matched row": ([0, 1], [0, 1], [0, 2, 4], [0, 1, 0, 1], [1.0, 5.0, 1.0, 1.0]),
 }
 
 
@@ -280,7 +270,7 @@ def test_rejected_round_leaves_the_solver_unchanged(grown):
         with pytest.raises(ValidationError, match="grew"):
             solve(*GROWN_ROUNDS[grown])
         for name, before in state.items():
-            assert np.array_equal(getattr(s, name), before), name
+            assert getattr(s, name) == before, name
         assert s.stats.as_dict() == stats
 
 
@@ -314,76 +304,46 @@ def test_dummy_matched_row_must_reaugment():
 
 
 # -- validation ---------------------------------------------------------------
-def _tiny_solver(**kwargs):
-    return DualReusingSolver(3, 3, 10.0, **kwargs)
+def _tiny_solver():
+    return DualReusingSolver(3, 3, 10.0)
 
 
 def test_edge_rows_out_of_range_raise():
+    """A row's edges are its ``indptr`` slice: offsets that run past the
+    edge lists, or a global row id outside the node space, raise."""
     s = _tiny_solver()
-    with pytest.raises(ValidationError, match="edge_rows out of range"):
-        s.solve_round(
-            [0, 1], np.array([0, 1]), np.array([0, 5]), np.array([0, 1]),
-            np.array([1.0, 2.0]),
-        )
+    with pytest.raises(ValidationError, match="indptr"):
+        s.solve_round([0, 1], [0, 1], [0, 1, 3], [0, 1], [1.0, 2.0])
+    with pytest.raises(ValidationError, match="indptr"):
+        s.solve_round([0, 1], [0, 1], [0, 2, 1], [0, 1], [1.0, 2.0])
+    with pytest.raises(ValidationError, match="rows out of range"):
+        s.solve_round([0, 5], [0, 1], [0, 1, 2], [0, 1], [1.0, 2.0])
 
 
 def test_edge_cols_out_of_range_raise():
     s = _tiny_solver()
     with pytest.raises(ValidationError, match="edge_cols out of range"):
-        s.solve_round(
-            [0, 1], np.array([0, 1]), np.array([0, 1]), np.array([0, -1]),
-            np.array([1.0, 2.0]),
-        )
+        s.solve_round([0, 1], [0, 1], [0, 1, 2], [0, -1], [1.0, 2.0])
+    with pytest.raises(ValidationError, match="cols out of range"):
+        s.solve_round([0, 1], [0, 7], [0, 1, 2], [0, 1], [1.0, 2.0])
 
 
 def test_mismatched_edge_arrays_raise():
     s = _tiny_solver()
     with pytest.raises(ValidationError, match="parallel"):
-        s.solve_round(
-            [0, 1], np.array([0, 1]), np.array([0]), np.array([0, 1]),
-            np.array([1.0, 2.0]),
-        )
+        s.solve_round([0, 1], [0, 1], [0, 1, 2], [0], [1.0, 2.0])
 
 
 def test_negative_costs_raise():
     s = _tiny_solver()
     with pytest.raises(ValidationError, match="non-negative"):
-        s.solve_round(
-            [0], np.array([0]), np.array([0]), np.array([0]), np.array([-1.0])
-        )
+        s.solve_round([0], [0], [0, 1], [0], [-1.0])
 
 
 def test_delta_requires_ascending_cols():
     s = _tiny_solver()
     with pytest.raises(ValidationError, match="strictly ascending"):
-        s.solve_round_delta(
-            [0, 1], np.array([1, 0]), np.array([0, 1]), np.array([0, 1]),
-            np.array([1.0, 2.0]),
-        )
-
-
-def test_edge_idx_size_mismatch_raises():
-    uni = UniverseIndex(
-        np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]), [0, 1]
-    )
-    s = _tiny_solver(universe=uni)
-    with pytest.raises(ValidationError, match="edge_idx"):
-        s.solve_round_delta(
-            [0, 1], np.array([0, 1]), np.array([0, 1]), np.array([0, 1]),
-            np.array([1.0, 2.0]), edge_idx=np.array([0]),
-        )
-
-
-def test_edge_idx_out_of_range_raises():
-    uni = UniverseIndex(
-        np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]), [0, 1]
-    )
-    s = _tiny_solver(universe=uni)
-    with pytest.raises(ValidationError, match="edge_idx out of range"):
-        s.solve_round_delta(
-            [0, 1], np.array([0, 1]), np.array([0, 1]), np.array([0, 1]),
-            np.array([1.0, 2.0]), edge_idx=np.array([0, 9]),
-        )
+        s.solve_round_delta([0, 1], [1, 0], [0, 1, 2], [0, 1], [1.0, 2.0])
 
 
 # -- env switches -------------------------------------------------------------
@@ -398,10 +358,7 @@ def test_warm_delta_switch(monkeypatch):
 
 def test_warm_stats_as_dict_keys():
     solver = _tiny_solver()
-    solver.solve_round_delta(
-        [0, 1], np.array([0, 1]), np.array([0, 1]), np.array([0, 1]),
-        np.array([1.0, 2.0]),
-    )
+    solver.solve_round_delta([0, 1], [0, 1], [0, 1, 2], [0, 1], [1.0, 2.0])
     d = solver.stats.as_dict()
     for key in (
         "rounds", "delta_rounds", "rows_total", "rows_kept",

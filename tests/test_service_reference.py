@@ -123,7 +123,7 @@ class TestDomainLocality:
         snapshots, rounds, domain = [], [], set()
         residuals = CapacityLedger.residuals
         solve_wave = MatchingHeuristic.solve_wave
-        build_edges = RoundState.build_edges
+        build_csr = RoundState.build_csr
 
         def spy_residuals(ledger):
             snapshots.append(ledger)
@@ -136,16 +136,16 @@ class TestDomainLocality:
                     domain.update(problem.neighborhoods.closed_cloudlets(v))
             return solve_wave(heuristic, problems)
 
-        def spy_build_edges(state):
-            edges = build_edges(state)
-            rounds.append(set(edges[0]) <= domain)
-            return edges
+        def spy_build_csr(state):
+            graph = build_csr(state)
+            rounds.append(set(graph[0]) <= domain)
+            return graph
 
         engine = make_engine(mode, seed)
         with monkeypatch.context() as patch:
             patch.setattr(CapacityLedger, "residuals", spy_residuals)
             patch.setattr(MatchingHeuristic, "solve_wave", spy_solve_wave)
-            patch.setattr(RoundState, "build_edges", spy_build_edges)
+            patch.setattr(RoundState, "build_csr", spy_build_csr)
             records, used = replay(engine, seed)
         assert not snapshots
         assert len(rounds) > 50 and all(rounds)
